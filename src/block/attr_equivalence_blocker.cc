@@ -1,57 +1,17 @@
 #include "src/block/attr_equivalence_blocker.h"
 
-#include <unordered_map>
-#include <vector>
-
 namespace emx {
 
 AttrEquivalenceBlocker::AttrEquivalenceBlocker(std::string left_attr,
                                                std::string right_attr,
                                                Transform left_transform,
                                                Transform right_transform)
-    : left_attr_(std::move(left_attr)),
-      right_attr_(std::move(right_attr)),
-      left_transform_(std::move(left_transform)),
-      right_transform_(std::move(right_transform)) {}
+    : key_{{std::move(left_attr), std::move(left_transform)},
+           {std::move(right_attr), std::move(right_transform)}} {}
 
 Result<CandidateSet> AttrEquivalenceBlocker::Block(
     const Table& left, const Table& right, const ExecutorContext& ctx) const {
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol,
-                       left.ColumnByName(left_attr_));
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                       right.ColumnByName(right_attr_));
-
-  // Hash-partition the right side by key, then probe with left-side chunks
-  // in parallel (the index is read-only while probing).
-  std::unordered_multimap<std::string, uint32_t> index;
-  index.reserve(rcol->size() * 2);
-  for (size_t r = 0; r < rcol->size(); ++r) {
-    const Value& v = (*rcol)[r];
-    if (v.is_null()) continue;
-    std::string key = v.AsString();
-    if (right_transform_) key = right_transform_(key);
-    if (key.empty()) continue;
-    index.emplace(std::move(key), static_cast<uint32_t>(r));
-  }
-
-  std::vector<RecordPair> pairs = ctx.get().ParallelFlatMap(
-      lcol->size(), /*grain=*/0,
-      [&](size_t lo_row, size_t hi_row) {
-        std::vector<RecordPair> out;
-        for (size_t l = lo_row; l < hi_row; ++l) {
-          const Value& v = (*lcol)[l];
-          if (v.is_null()) continue;
-          std::string key = v.AsString();
-          if (left_transform_) key = left_transform_(key);
-          if (key.empty()) continue;
-          auto [lo, hi] = index.equal_range(key);
-          for (auto it = lo; it != hi; ++it) {
-            out.push_back({static_cast<uint32_t>(l), it->second});
-          }
-        }
-        return out;
-      });
-  return CandidateSet(std::move(pairs));
+  return EqualityJoin(left, right, key_, ctx);
 }
 
 }  // namespace emx

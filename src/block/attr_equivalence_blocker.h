@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/block/blocker.h"
+#include "src/block/key_join.h"
 
 namespace emx {
 
@@ -14,10 +15,12 @@ namespace emx {
 // The paper's M1 rule compares the *suffix* of the UMETRICS award number
 // with the full USDA award number; rather than materializing a temporary
 // column the way the authors did, each side takes an optional transform
-// applied to the attribute value before comparison.
+// applied to the attribute value before comparison. Blocking is the
+// equality join on that key (EqualityJoin), the same join keyed positive
+// rules run.
 class AttrEquivalenceBlocker : public Blocker {
  public:
-  using Transform = std::function<std::string(const std::string&)>;
+  using Transform = KeyTransform;
 
   AttrEquivalenceBlocker(std::string left_attr, std::string right_attr,
                          Transform left_transform = nullptr,
@@ -28,14 +31,15 @@ class AttrEquivalenceBlocker : public Blocker {
                              const ExecutorContext& ctx) const override;
 
   std::string name() const override {
-    return "ae(" + left_attr_ + "=" + right_attr_ + ")";
+    return "ae(" + key_.left.attr + "=" + key_.right.attr + ")";
   }
 
+  // The join key (MatchService::Create answers the blocker from a resident
+  // index on its right side).
+  const EqualityKey& key() const { return key_; }
+
  private:
-  std::string left_attr_;
-  std::string right_attr_;
-  Transform left_transform_;
-  Transform right_transform_;
+  EqualityKey key_;
 };
 
 }  // namespace emx

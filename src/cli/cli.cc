@@ -622,7 +622,7 @@ int CmdServe(const Args& args, const ExecutorContext& ctx, std::string& out,
   if (args.positional.size() != 2) {
     return Fail(err,
                 "usage: emx serve <left.csv> <corpus.csv> --left-attr=... "
-                "--labels=... [--method=overlap|coeff] [--matcher=forest] "
+                "--labels=... [--method=overlap|coeff|ae] [--matcher=forest] "
                 "[--exclude=...] [--lowercase=...] [--requests=FILE] "
                 "[--queue-capacity=N] [--batch-max=N] "
                 "[--compact-threshold=N]");

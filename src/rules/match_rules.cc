@@ -1,5 +1,6 @@
 #include "src/rules/match_rules.h"
 
+#include "src/core/logging.h"
 #include "src/rules/number_pattern.h"
 #include "src/text/sequence_kernel.h"
 
@@ -8,21 +9,16 @@ namespace emx {
 namespace {
 
 // Resolves both attribute values as (possibly transformed) strings; returns
-// false when either is null/empty.
-bool GetPairValues(
-    const Table& left, size_t lrow, const std::string& left_attr,
-    const Table& right, size_t rrow, const std::string& right_attr,
-    const std::function<std::string(const std::string&)>& lt,
-    const std::function<std::string(const std::string&)>& rt,
-    std::string* lv, std::string* rv) {
-  const Value& a = left.at(lrow, left_attr);
-  const Value& b = right.at(rrow, right_attr);
+// false when either side has no key (null or empty). Both null checks come
+// before either string is built: a rule scan meets many null cells, and a
+// transform costs far more than the check.
+bool GetPairValues(const KeyColumn& lk, const Table& left, size_t lrow,
+                   const KeyColumn& rk, const Table& right, size_t rrow,
+                   std::string* lv, std::string* rv) {
+  const Value& a = left.at(lrow, lk.attr);
+  const Value& b = right.at(rrow, rk.attr);
   if (a.is_null() || b.is_null()) return false;
-  *lv = a.AsString();
-  *rv = b.AsString();
-  if (lt) *lv = lt(*lv);
-  if (rt) *rv = rt(*rv);
-  return !lv->empty() && !rv->empty();
+  return lk.KeyOf(a, lv) && rk.KeyOf(b, rv);
 }
 
 }  // namespace
@@ -32,15 +28,17 @@ MatchRule MakeEqualityRule(
     const std::string& right_attr,
     std::function<std::string(const std::string&)> left_transform,
     std::function<std::string(const std::string&)> right_transform) {
-  return {rule_name,
-          [=](const Table& l, size_t lr, const Table& r, size_t rr) {
-            std::string lv, rv;
-            if (!GetPairValues(l, lr, left_attr, r, rr, right_attr,
-                               left_transform, right_transform, &lv, &rv)) {
-              return false;
-            }
-            return lv == rv;
-          }};
+  EqualityKey key{{left_attr, std::move(left_transform)},
+                  {right_attr, std::move(right_transform)}};
+  MatchRule rule;
+  rule.name = rule_name;
+  rule.fires = [key](const Table& l, size_t lr, const Table& r, size_t rr) {
+    std::string lv, rv;
+    return GetPairValues(key.left, l, lr, key.right, r, rr, &lv, &rv) &&
+           lv == rv;
+  };
+  rule.key = std::move(key);
+  return rule;
 }
 
 MatchRule MakeM1AwardNumberRule(const std::string& left_award_attr,
@@ -62,13 +60,12 @@ MatchRule MakeLevenshteinRule(
     const std::string& right_attr, double min_sim,
     std::function<std::string(const std::string&)> left_transform,
     std::function<std::string(const std::string&)> right_transform) {
+  KeyColumn lk{left_attr, std::move(left_transform)};
+  KeyColumn rk{right_attr, std::move(right_transform)};
   return {rule_name,
           [=](const Table& l, size_t lr, const Table& r, size_t rr) {
             std::string lv, rv;
-            if (!GetPairValues(l, lr, left_attr, r, rr, right_attr,
-                               left_transform, right_transform, &lv, &rv)) {
-              return false;
-            }
+            if (!GetPairValues(lk, l, lr, rk, r, rr, &lv, &rv)) return false;
             // Length-bound short-circuit + banded kernel: exactly
             // LevenshteinSimilarity(lv, rv) >= min_sim, without computing
             // the full distance for pairs the bound already rejects.
@@ -81,13 +78,12 @@ MatchRule MakeComparableMismatchRule(
     const std::string& right_attr,
     std::function<std::string(const std::string&)> left_transform,
     std::function<std::string(const std::string&)> right_transform) {
+  KeyColumn lk{left_attr, std::move(left_transform)};
+  KeyColumn rk{right_attr, std::move(right_transform)};
   return {rule_name,
           [=](const Table& l, size_t lr, const Table& r, size_t rr) {
             std::string lv, rv;
-            if (!GetPairValues(l, lr, left_attr, r, rr, right_attr,
-                               left_transform, right_transform, &lv, &rv)) {
-              return false;
-            }
+            if (!GetPairValues(lk, l, lr, rk, r, rr, &lv, &rv)) return false;
             return ArePatternComparable(lv, rv) && lv != rv;
           }};
 }
@@ -95,18 +91,45 @@ MatchRule MakeComparableMismatchRule(
 Result<CandidateSet> ApplyRulesCartesian(const std::vector<MatchRule>& rules,
                                          const Table& left,
                                          const Table& right) {
-  std::vector<RecordPair> out;
+  CandidateSet out;
+  std::vector<const MatchRule*> unkeyed;
+  for (const MatchRule& rule : rules) {
+    if (!rule.key) {
+      unkeyed.push_back(&rule);
+      continue;
+    }
+    // A missing attribute reads as null on every row (Table::at), so the
+    // rule cannot fire.
+    if (!left.schema().Contains(rule.key->left.attr) ||
+        !right.schema().Contains(rule.key->right.attr)) {
+      continue;
+    }
+    EMX_ASSIGN_OR_RETURN(
+        CandidateSet joined,
+        EqualityJoin(left, right, *rule.key, ExecutorContext{}));
+    out = CandidateSet::Union(out, joined);
+  }
+  if (unkeyed.empty()) return out;
+
+  std::string names;
+  for (const MatchRule* rule : unkeyed) {
+    names += (names.empty() ? "" : ", ") + rule->name;
+  }
+  EMX_LOG(Info) << "rules without a key form (" << names << ") scan all "
+                << left.num_rows() * right.num_rows() << " pairs";
+  std::vector<RecordPair> scanned;
   for (size_t l = 0; l < left.num_rows(); ++l) {
     for (size_t r = 0; r < right.num_rows(); ++r) {
-      for (const MatchRule& rule : rules) {
-        if (rule.fires(left, l, right, r)) {
-          out.push_back({static_cast<uint32_t>(l), static_cast<uint32_t>(r)});
+      for (const MatchRule* rule : unkeyed) {
+        if (rule->fires(left, l, right, r)) {
+          scanned.push_back(
+              {static_cast<uint32_t>(l), static_cast<uint32_t>(r)});
           break;
         }
       }
     }
   }
-  return CandidateSet(std::move(out));
+  return CandidateSet::Union(out, CandidateSet(std::move(scanned)));
 }
 
 Result<CandidateSet> ApplyRulesToPairs(const std::vector<MatchRule>& rules,

@@ -2,10 +2,12 @@
 #define EMX_RULES_MATCH_RULES_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/block/candidate_set.h"
+#include "src/block/key_join.h"
 #include "src/core/result.h"
 #include "src/table/table.h"
 
@@ -19,13 +21,17 @@ struct MatchRule {
   std::function<bool(const Table& left, size_t left_row, const Table& right,
                      size_t right_row)>
       fires;
+  // The key form, set by MakeEqualityRule: the rule fires on exactly the
+  // pairs the equality join on this key emits, so ApplyRulesCartesian
+  // answers it by hash lookup instead of calling `fires` on every pair.
+  std::optional<EqualityKey> key = std::nullopt;
 };
 
 // --- Positive rule factories -------------------------------------------
 
 // Fires when transform(left[left_attr]) == right[right_attr], both sides
 // non-null/non-empty. With the AwardNumberSuffix transform this is exactly
-// M1.
+// M1. Sets the rule's key form.
 MatchRule MakeEqualityRule(
     const std::string& rule_name, const std::string& left_attr,
     const std::string& right_attr,
@@ -67,8 +73,11 @@ MatchRule MakeComparableMismatchRule(
 
 // --- Application helpers ------------------------------------------------
 
-// Pairs of A × B where any rule fires. Equality-style rules at this scale
-// run fine on the Cartesian product; the blockers exist for larger inputs.
+// Pairs of A × B where any rule fires. A keyed rule runs as one
+// EqualityJoin on the shared executor (a rule whose key attribute is
+// missing from either table never fires); only rules without a key form
+// are called on all |A|×|B| pairs, and each call that does so logs their
+// names and the pair count.
 Result<CandidateSet> ApplyRulesCartesian(const std::vector<MatchRule>& rules,
                                          const Table& left,
                                          const Table& right);

@@ -7,8 +7,10 @@
 #include <limits>
 #include <mutex>
 
+#include "src/block/attr_equivalence_blocker.h"
 #include "src/block/overlap_blocker.h"
 #include "src/core/failpoint.h"
+#include "src/core/logging.h"
 #include "src/feature/pair_batch.h"
 
 namespace emx {
@@ -94,6 +96,13 @@ struct MatchService::FeatureBinding {
   int corpus_prep = -1;
 };
 
+// One AE blocker: its query-side key and the resident index of its
+// corpus side.
+struct MatchService::AeIndex {
+  KeyColumn query;
+  KeyIndex corpus;
+};
+
 // Bounded ring of stage latencies; p50/p99 over the most recent window.
 struct MatchService::LatencyRing {
   explicit LatencyRing(size_t capacity)
@@ -131,13 +140,12 @@ MatchService::~MatchService() = default;
 
 Result<std::unique_ptr<MatchService>> MatchService::Create(
     const EmWorkflow& workflow, const Table& corpus,
-    MatchServiceOptions options, const ExecutorContext& ctx) {
+    MatchServiceOptions options, const ExecutorContext& /*ctx*/) {
   std::unique_ptr<MatchService> svc(new MatchService());
   svc->corpus_ = corpus;
   svc->live_.assign(corpus.num_rows(), 1);
   svc->base_rows_ = corpus.num_rows();
   svc->options_ = options;
-  svc->exec_ctx_ = ctx;
   svc->positive_rules_ = workflow.positive_rules();
   svc->negative_rules_ = workflow.negative_rules();
   svc->matcher_ = workflow.matcher();
@@ -192,10 +200,31 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     return static_cast<int>(svc->corpus_preps_.size() - 1);
   };
 
-  // Blockers → index groups. Only the token-overlap family is servable
-  // against a delta index; equality-style blocking belongs in positive
-  // rules (which Lookup evaluates directly).
+  for (const MatchRule& rule : svc->positive_rules_) {
+    EMX_LOG(Info) << "MatchService: every lookup scans the corpus for "
+                     "positive rule '"
+                  << rule.name << "'";
+  }
+
+  // Blockers → index groups: the token-overlap family probes a delta
+  // index, the AE blocker a key index.
   for (const std::shared_ptr<Blocker>& b : workflow.blockers()) {
+    if (const auto* ae =
+            dynamic_cast<const AttrEquivalenceBlocker*>(b.get())) {
+      const EqualityKey& key = ae->key();
+      if (svc->corpus_.schema().IndexOf(key.right.attr) < 0) {
+        return Status::InvalidArgument("MatchService: corpus has no column '" +
+                                       key.right.attr + "' (blocker " +
+                                       b->name() + ")");
+      }
+      AeIndex& index =
+          svc->ae_indexes_.emplace_back(AeIndex{key.left, KeyIndex(key.right)});
+      for (size_t r = 0; r < svc->corpus_.num_rows(); ++r) {
+        index.corpus.Add(static_cast<uint32_t>(r),
+                         svc->corpus_.at(r, key.right.attr));
+      }
+      continue;
+    }
     const OverlapBlockerOptions* bopts = nullptr;
     std::shared_ptr<Tokenizer> tok;
     BlockPredicate pred;
@@ -219,8 +248,8 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     } else {
       return Status::InvalidArgument(
           "MatchService: blocker '" + b->name() +
-          "' is not a token-overlap blocker; express it as a positive rule "
-          "or block on a token attribute");
+          "' is neither a token-overlap nor an attribute-equivalence "
+          "blocker, so no index can answer it");
     }
     PrepOptions po = internal_block::ToPrepOptions(*bopts);
     int qs = add_query_spec(bopts->left_attr, po, tok);
@@ -271,26 +300,35 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   return svc;
 }
 
-std::vector<uint32_t> MatchService::SureMatches(
-    const Table& query, size_t query_row, const ExecutorContext& ctx) const {
-  if (positive_rules_.empty()) return {};
-  size_t rows = corpus_.num_rows();
-  // Chunk-order concatenation keeps the result in ascending record order at
-  // any thread count.
-  return ctx.get().ParallelFlatMap(
-      rows, /*grain=*/0, [&](size_t lo, size_t hi) {
-        std::vector<uint32_t> out;
-        for (size_t r = lo; r < hi; ++r) {
-          if (!live_[r]) continue;
-          for (const MatchRule& rule : positive_rules_) {
-            if (rule.fires(query, query_row, corpus_, r)) {
-              out.push_back(static_cast<uint32_t>(r));
-              break;
-            }
-          }
-        }
-        return out;
-      });
+std::vector<uint32_t> MatchService::AeHits(const Table& query,
+                                           size_t query_row) const {
+  std::vector<uint32_t> out;
+  std::string key;
+  for (const AeIndex& ae : ae_indexes_) {
+    if (!ae.query.KeyOf(query.at(query_row, ae.query.attr), &key)) continue;
+    if (const std::vector<uint32_t>* ids = ae.corpus.Find(key)) {
+      out.insert(out.end(), ids->begin(), ids->end());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<uint32_t> MatchService::SureMatches(const Table& query,
+                                                size_t query_row) const {
+  std::vector<uint32_t> out;
+  if (positive_rules_.empty()) return out;
+  for (size_t r = 0; r < corpus_.num_rows(); ++r) {
+    if (!live_[r]) continue;
+    for (const MatchRule& rule : positive_rules_) {
+      if (rule.fires(query, query_row, corpus_, r)) {
+        out.push_back(static_cast<uint32_t>(r));
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 Result<LookupResult> MatchService::Lookup(const Table& query,
@@ -306,12 +344,18 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
 
   // Stage: positive rules (C1 restricted to this query row).
   Clock::time_point t0 = Clock::now();
-  std::vector<uint32_t> sure = SureMatches(query, query_row, exec_ctx_);
+  std::vector<uint32_t> sure = SureMatches(query, query_row);
   double rules_us = MicrosSince(t0);
 
-  // Stage: block — prep the query record once per spec, then probe each
-  // index and replay every blocker's keep predicate.
+  // Stage: block — AE blockers read their key indexes; then prep the query
+  // record once per spec, probe each token index and replay every token
+  // blocker's keep predicate.
   t0 = Clock::now();
+  for (const AeIndex& ae : ae_indexes_) {
+    // The batch AE blocker's NotFound for a missing key column.
+    EMX_RETURN_IF_ERROR(query.ColumnByName(ae.query.attr).status());
+  }
+  std::vector<uint32_t> blocked = AeHits(query, query_row);
   std::vector<std::shared_ptr<const PreparedColumn>> qpreps(
       query_specs_.size());
   for (size_t i = 0; i < query_specs_.size(); ++i) {
@@ -324,7 +368,6 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
     query_prep_builds_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::vector<uint32_t> blocked;
   {
     thread_local DeltaTokenIndex::ProbeScratch scratch;
     for (const auto& g : index_groups_) {
@@ -497,6 +540,9 @@ Result<uint32_t> MatchService::Insert(std::vector<Value> row) {
         corpus_preps_[g->corpus_prep]->Segment(record, base_rows_, &seg_row);
     g->index.Add(seg.ids(seg_row));
   }
+  for (AeIndex& ae : ae_indexes_) {
+    ae.corpus.Add(record, corpus_.at(record, ae.corpus.column().attr));
+  }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   return record;
 }
@@ -510,6 +556,9 @@ Status MatchService::Remove(uint32_t record) {
   }
   live_[record] = 0;
   for (auto& g : index_groups_) g->index.Remove(record);
+  for (AeIndex& ae : ae_indexes_) {
+    ae.corpus.Remove(record, corpus_.at(record, ae.corpus.column().attr));
+  }
   removes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/block/delta_index.h"
+#include "src/block/key_join.h"
 #include "src/core/executor.h"
 #include "src/core/result.h"
 #include "src/feature/feature_gen.h"
@@ -77,9 +78,10 @@ struct MatchServiceStats {
 // A long-lived serving instance packaged from a trained batch EmWorkflow:
 // it owns a copy of the right-hand corpus table, resident prepared columns
 // for every (attribute, prep spec) the features and blockers read, the
-// trained matcher + imputer + rules, and one mutable DeltaTokenIndex per
-// distinct blocker (attribute, normalization, tokenizer) — built once at
-// Create and NEVER rebuilt from scratch afterwards.
+// trained matcher + imputer + rules, one mutable DeltaTokenIndex per
+// distinct token blocker (attribute, normalization, tokenizer), and one
+// KeyIndex per AE blocker — built once at Create and NEVER rebuilt from
+// scratch afterwards.
 //
 // Lookup(query, row) answers "which corpus records match this record" with
 // results BIT-IDENTICAL to running the batch workflow over (query-table,
@@ -92,11 +94,12 @@ struct MatchServiceStats {
 //
 // Insert/Remove mutate the corpus incrementally: Insert appends the row,
 // preps ONLY that row (one single-row segment per prep spec — never a
-// column re-prep), and pushes its postings into each index's delta lists;
-// Remove tombstones. Each index folds deltas+tombstones into its CSR
-// snapshot when they exceed options.compact_threshold; probe results are
-// identical at every compaction state (delta_index_property_test fuzzes
-// this invariant).
+// column re-prep), pushes its postings into each token index's delta lists
+// and adds its keys to the key indexes; Remove tombstones it and drops its
+// keys. Each token index folds deltas+tombstones into its CSR snapshot
+// when they exceed options.compact_threshold; probe results are identical
+// at every compaction state (delta_index_property_test fuzzes this
+// invariant).
 //
 // Ownership keeps prep work resident: the service holds its OWN PrepCache
 // (never shared with a PipelineRunner, whose per-run Clear() would drop
@@ -112,10 +115,13 @@ class MatchService {
  public:
   // Packages `workflow` + `corpus` (the right-hand table) into a service.
   // Every registered blocker must be an OverlapBlocker or
-  // OverlapCoefficientBlocker (the token-index family the delta index can
-  // answer); anything else is InvalidArgument — equality-style blocking
-  // belongs in positive rules, which serve evaluates directly. The matcher
-  // is optional (a rules-only workflow serves rule matches).
+  // OverlapCoefficientBlocker (answered by a delta token index) or an
+  // AttrEquivalenceBlocker (answered by a key index); anything else, such
+  // as a RuleBlocker, is InvalidArgument. Every lookup scans the live
+  // corpus for the positive rules, keyed or not; Create logs each one. The
+  // matcher is optional (a rules-only workflow serves rule matches). A
+  // lookup runs wholly on its calling thread (ServeLoop runs lookups in
+  // parallel on its own executor), so `ctx` goes unused.
   static Result<std::unique_ptr<MatchService>> Create(
       const EmWorkflow& workflow, const Table& corpus,
       MatchServiceOptions options = {}, const ExecutorContext& ctx = {});
@@ -153,13 +159,19 @@ class MatchService {
   struct BlockPredicate; // one blocker's keep predicate over a shared index
   struct IndexGroup;     // one delta index + the predicates probing it
   struct FeatureBinding; // feature → (query spec, corpus prep) wiring
+  struct AeIndex;        // one AE blocker's query key + corpus KeyIndex
   struct LatencyRing;
 
   MatchService() = default;
 
-  // Stage bodies (called with mu_ held shared).
-  std::vector<uint32_t> SureMatches(const Table& query, size_t query_row,
-                                    const ExecutorContext& ctx) const;
+  // Stage bodies (called with mu_ held shared). SureMatches scans on the
+  // calling thread, so a lookup's work never depends on executor
+  // scheduling.
+  std::vector<uint32_t> SureMatches(const Table& query,
+                                    size_t query_row) const;
+  // Live records some AE blocker pairs with the query row, ascending and
+  // unique.
+  std::vector<uint32_t> AeHits(const Table& query, size_t query_row) const;
   Status BlockCandidates(const Table& query, size_t query_row,
                          std::vector<uint32_t>* out) const;
 
@@ -167,7 +179,6 @@ class MatchService {
   std::vector<uint8_t> live_;
   size_t base_rows_ = 0;  // rows prepped as segment 0 at Create
   MatchServiceOptions options_;
-  ExecutorContext exec_ctx_;
 
   // Workflow pieces (owned copies / shared ownership).
   std::vector<MatchRule> positive_rules_;
@@ -182,6 +193,7 @@ class MatchService {
   std::vector<std::unique_ptr<QuerySpec>> query_specs_;
   std::vector<std::unique_ptr<IndexGroup>> index_groups_;
   std::vector<FeatureBinding> bindings_;
+  std::vector<AeIndex> ae_indexes_;
 
   mutable std::shared_mutex mu_;
 

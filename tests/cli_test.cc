@@ -1,6 +1,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -279,6 +280,43 @@ TEST(CliTest, RunRejectsBadFailPointSpec) {
   CliResult r = RunEmx(args);
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("InvalidArgument"), std::string::npos);
+}
+
+// emx serve hosts the AE blocker: each lookup answers what `emx run` over
+// the same flags matched for that left record.
+TEST(CliTest, ServeAnswersAeBlockerLikeRun) {
+  RunFixture f = MakeRunFixture("serve_ae");
+  ASSERT_EQ(RunEmx(RunArgs(f)).code, 0);
+  auto run = ReadCsvFile(f.out_path);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run->num_rows(), 2u);
+
+  const std::string requests = WriteTemp(
+      "serve_ae_req.jsonl",
+      "{\"id\": 0, \"op\": \"lookup\", \"record\": {\"RecordId\": 0, "
+      "\"Name\": \"Dave Smith\", \"City\": \"Madison\"}}\n"
+      "{\"id\": 1, \"op\": \"lookup\", \"record\": {\"RecordId\": 1, "
+      "\"Name\": \"Joe Wilson\", \"City\": \"San Jose\"}}\n"
+      "{\"id\": 2, \"op\": \"lookup\", \"record\": {\"RecordId\": 2, "
+      "\"Name\": \"Dan Smith\", \"City\": \"Middleton\"}}\n");
+  CliResult r = RunEmx({"serve", f.left, f.right, "--method=ae",
+                        "--left-attr=City", "--labels=" + f.labels,
+                        "--matcher=tree", "--exclude=RecordId",
+                        "--requests=" + requests});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::vector<std::string> want(3, "\"matches\":[],\"candidates\":0");
+  for (size_t i = 0; i < run->num_rows(); ++i) {
+    want[run->at(i, 0).AsInt()] =
+        "\"matches\":[{\"record\":" + run->at(i, 1).AsString() +
+        ",\"score\":1,\"provenance\":\"ml\"}],\"candidates\":1";
+  }
+  std::istringstream lines(r.out);
+  std::string line;
+  for (size_t id = 0; id < want.size(); ++id) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"id\":" + std::to_string(id)), std::string::npos);
+    EXPECT_NE(line.find(want[id]), std::string::npos) << line;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // MatchService oracle suite: a resident service's point lookups must be
 // BIT-IDENTICAL to the batch pipeline restricted to one left record — same
 // candidate counts, same matched records, same provenance — for every
-// record of the case-study and scale corpora, at 1/2/8 threads and at the
-// scalar SIMD fallback. Plus: incremental ingest equivalence, the
-// zero-re-prep residency contract, and the PipelineRunner::Clear audit.
+// record of the case-study and scale corpora and under the paper's full
+// Figure-10 workflow, at 1/2/8 threads and at the scalar SIMD fallback.
+// Plus: incremental ingest equivalence, the zero-re-prep residency
+// contract, and the PipelineRunner::Clear audit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -17,7 +19,9 @@
 
 #include "src/block/attr_equivalence_blocker.h"
 #include "src/block/overlap_blocker.h"
+#include "src/block/rule_blocker.h"
 #include "src/core/executor.h"
+#include "src/core/strings.h"
 #include "src/datagen/case_study.h"
 #include "src/datagen/scale_corpus.h"
 #include "src/ml/decision_tree.h"
@@ -126,12 +130,29 @@ void ExpectLookupMatchesOracle(const MatchService& svc, const Table& left,
   }
 }
 
+// Two services agree on one lookup: same candidates, and the same matches
+// in the same order with the same scores and provenance.
+void ExpectSameLookup(const MatchService& a, const MatchService& b,
+                      const Table& left, size_t q) {
+  auto ra = a.Lookup(left, q);
+  auto rb = b.Lookup(left, q);
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  EXPECT_EQ(ra->num_candidates, rb->num_candidates) << "left row " << q;
+  EXPECT_EQ(ra->num_sure, rb->num_sure) << "left row " << q;
+  ASSERT_EQ(ra->matches.size(), rb->matches.size()) << "left row " << q;
+  for (size_t i = 0; i < ra->matches.size(); ++i) {
+    EXPECT_EQ(ra->matches[i].record, rb->matches[i].record);
+    EXPECT_DOUBLE_EQ(ra->matches[i].score, rb->matches[i].score);
+    EXPECT_EQ(ra->matches[i].provenance, rb->matches[i].provenance);
+  }
+}
+
 // --- case-study fixture ----------------------------------------------------------
 //
-// The §7-§12 pipeline, restricted to the serve-compatible stages: the two
-// token blockers on AwardTitle (the AE blocker's pairs are covered by the
-// V2 positive rules, which serve evaluates directly), the §9 trained
-// matcher, and the §12 negative rules.
+// The §7-§12 pipeline without the AE blocker (the variant the end-to-end
+// benchmark serves): the two token blockers on AwardTitle, the V2 positive
+// rules (whose M1 covers the AE blocker's pairs), the §9 trained matcher,
+// and the §12 negative rules.
 struct CaseStudyFixture {
   CaseStudyData data;
   ProjectedTables tables;
@@ -167,6 +188,63 @@ const CaseStudyFixture& CaseStudy() {
     f->run = std::move(*f->wf.Run(f->tables.umetrics, f->tables.usda));
     f->oracle = SliceByLeft(f->run, f->tables.umetrics.num_rows());
     return f;
+  }();
+  return fx;
+}
+
+// Served workflows holding the AE blocker, with their batch oracles: the
+// paper's own Figure-10 workflow (BuildCaseStudyWorkflow), and the AE
+// blocker alone with the matcher and negative rules. The title blockers
+// also emit every AE hit of the case study, so only the second workflow
+// exposes an AE hit the service fails to return; in it nothing is sure
+// and the matcher scores every hit.
+struct WorkflowFixture {
+  EmWorkflow wf;
+  std::vector<PerRecordOracle> oracle;
+};
+
+const WorkflowFixture* MakeWorkflowFixture(EmWorkflow wf) {
+  const CaseStudyFixture& cs = CaseStudy();
+  auto* f = new WorkflowFixture{std::move(wf), {}};
+  f->oracle = SliceByLeft(*f->wf.Run(cs.tables.umetrics, cs.tables.usda),
+                          cs.tables.umetrics.num_rows());
+  return f;
+}
+
+const WorkflowFixture& Figure10() {
+  static const WorkflowFixture& fx = *MakeWorkflowFixture(
+      BuildCaseStudyWorkflow(PositiveRulesV2(), CaseStudy().trained,
+                             /*with_negative_rules=*/true));
+  return fx;
+}
+
+const WorkflowFixture& AeOnly() {
+  static const WorkflowFixture& fx = *[] {
+    const TrainedMatcher& t = CaseStudy().trained;
+    EmWorkflow wf;
+    wf.AddBlocker(MakeM1EquivalenceBlocker());
+    wf.SetMatcher(t.matcher, t.features, t.imputer);
+    for (const MatchRule& r : NegativeRules()) wf.AddNegativeRule(r);
+    return MakeWorkflowFixture(std::move(wf));
+  }();
+  return fx;
+}
+
+// Keyed M1 plus a title rule without a key form: batch joins the first and
+// scans for the second, serve scans for both; the sure matches are the
+// union of both.
+const WorkflowFixture& KeyedAndScannedRules() {
+  static const WorkflowFixture& fx = *[] {
+    const TrainedMatcher& t = CaseStudy().trained;
+    auto lower = [](const std::string& s) { return AsciiToLower(s); };
+    EmWorkflow wf;
+    wf.AddPositiveRule(MakeM1AwardNumberRule("AwardNumber", "AwardNumber"));
+    wf.AddPositiveRule(MakeLevenshteinRule("title", "AwardTitle",
+                                           "AwardTitle", 0.9, lower, lower));
+    wf.AddBlocker(MakeTitleOverlapBlocker(3));
+    wf.SetMatcher(t.matcher, t.features, t.imputer);
+    for (const MatchRule& r : NegativeRules()) wf.AddNegativeRule(r);
+    return MakeWorkflowFixture(std::move(wf));
   }();
   return fx;
 }
@@ -234,6 +312,29 @@ TEST(MatchServiceOracleTest, CaseStudyEveryRecordMatchesBatch) {
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
   for (size_t q = 0; q < fx.tables.umetrics.num_rows(); ++q) {
     ExpectLookupMatchesOracle(**svc, fx.tables.umetrics, q, fx.oracle[q]);
+  }
+}
+
+// Serve hosts the workflow the paper evaluates: the AE blocker reads its
+// key index, and its hits join the blocked candidates.
+TEST(MatchServiceOracleTest, Figure10WorkflowEveryRecordMatchesBatch) {
+  const CaseStudyFixture& cs = CaseStudy();
+  for (const WorkflowFixture* fx : {&Figure10(), &AeOnly()}) {
+    auto svc = MatchService::Create(fx->wf, cs.tables.usda);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    for (size_t q = 0; q < cs.tables.umetrics.num_rows(); ++q) {
+      ExpectLookupMatchesOracle(**svc, cs.tables.umetrics, q, fx->oracle[q]);
+    }
+  }
+}
+
+TEST(MatchServiceOracleTest, KeyedAndScannedRulesEveryRecordMatchesBatch) {
+  const CaseStudyFixture& cs = CaseStudy();
+  const WorkflowFixture& fx = KeyedAndScannedRules();
+  auto svc = MatchService::Create(fx.wf, cs.tables.usda);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  for (size_t q = 0; q < cs.tables.umetrics.num_rows(); ++q) {
+    ExpectLookupMatchesOracle(**svc, cs.tables.umetrics, q, fx.oracle[q]);
   }
 }
 
@@ -337,28 +438,80 @@ TEST(MatchServiceIngestTest, InsertDeleteEquivalentToFreshService) {
       << "threshold 16 over 50 inserts must compact mid-sequence";
 
   for (size_t q = 0; q < small->left.num_rows(); ++q) {
-    auto a = (*grown)->Lookup(small->left, q);
-    auto b = (*fresh)->Lookup(small->left, q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->num_candidates, b->num_candidates) << "left row " << q;
-    ASSERT_EQ(a->matches.size(), b->matches.size()) << "left row " << q;
-    for (size_t i = 0; i < a->matches.size(); ++i) {
-      EXPECT_EQ(a->matches[i].record, b->matches[i].record);
-      EXPECT_DOUBLE_EQ(a->matches[i].score, b->matches[i].score);
-      EXPECT_EQ(a->matches[i].provenance, b->matches[i].provenance);
-    }
+    ExpectSameLookup(**grown, **fresh, small->left, q);
   }
   // Compacting everything changes nothing further.
   (*grown)->Compact();
   for (size_t q = 0; q < small->left.num_rows(); q += 11) {
-    auto a = (*grown)->Lookup(small->left, q);
-    auto b = (*fresh)->Lookup(small->left, q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->matches.size(), b->matches.size());
-    for (size_t i = 0; i < a->matches.size(); ++i) {
-      EXPECT_EQ(a->matches[i].record, b->matches[i].record);
-    }
+    ExpectSameLookup(**grown, **fresh, small->left, q);
   }
+}
+
+// The same on the case-study corpus under the full Figure-10 workflow, so
+// the AE blocker's key index and the records the positive rules scan must
+// follow every Insert and Remove exactly. The corpus is reordered so that every
+// third USDA row arrives by Insert (datagen writes matched rows first).
+TEST(MatchServiceIngestTest, CaseStudyKeyIndexesTrackInsertAndRemove) {
+  const CaseStudyFixture& cs = CaseStudy();
+  const WorkflowFixture& fx = Figure10();
+  const Table& usda = cs.tables.usda;
+  std::vector<uint32_t> order;  // corpus record id → USDA row
+  for (uint32_t r = 0; r < usda.num_rows(); ++r) {
+    if (r % 3 != 0) order.push_back(r);
+  }
+  const size_t base = order.size();
+  for (uint32_t r = 0; r < usda.num_rows(); r += 3) order.push_back(r);
+  std::vector<uint32_t> record_of(usda.num_rows());
+  Table corpus(usda.schema());
+  for (uint32_t id = 0; id < order.size(); ++id) {
+    record_of[order[id]] = id;
+    ASSERT_TRUE(corpus.AppendRow(usda.Row(order[id])).ok());
+  }
+  Table base_table(usda.schema());
+  for (size_t id = 0; id < base; ++id) {
+    ASSERT_TRUE(base_table.AppendRow(corpus.Row(id)).ok());
+  }
+
+  MatchServiceOptions grow_opts;
+  grow_opts.compact_threshold = 64;
+  auto grown = MatchService::Create(fx.wf, base_table, grow_opts);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  for (size_t id = base; id < corpus.num_rows(); ++id) {
+    auto got = (*grown)->Insert(corpus.Row(id));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, id);
+  }
+  auto fresh = MatchService::Create(fx.wf, corpus);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (uint32_t id = 0; id < corpus.num_rows(); id += 7) {
+    ASSERT_TRUE((*grown)->Remove(id).ok());
+    ASSERT_TRUE((*fresh)->Remove(id).ok());
+  }
+
+  // Sure matches are the batch ones on live records; batch sure matches
+  // land on inserted and on removed records, so both paths are exercised.
+  size_t sure_on_inserted = 0, sure_on_removed = 0;
+  for (size_t q = 0; q < cs.tables.umetrics.num_rows(); ++q) {
+    ExpectSameLookup(**grown, **fresh, cs.tables.umetrics, q);
+    std::vector<uint32_t> want_sure, got_sure;
+    for (const auto& [row, provenance] : fx.oracle[q].matches) {
+      if (provenance != "sure_rule") continue;
+      const uint32_t id = record_of[row];
+      sure_on_inserted += id >= base;
+      sure_on_removed += id % 7 == 0;
+      if (id % 7 != 0) want_sure.push_back(id);
+    }
+    std::sort(want_sure.begin(), want_sure.end());
+    auto got = (*grown)->Lookup(cs.tables.umetrics, q);
+    ASSERT_TRUE(got.ok());
+    for (const RankedMatch& m : got->matches) {
+      EXPECT_NE(m.record % 7, 0u) << "removed record served, left row " << q;
+      if (m.provenance == "sure_rule") got_sure.push_back(m.record);
+    }
+    EXPECT_EQ(got_sure, want_sure) << "left row " << q;
+  }
+  EXPECT_GT(sure_on_inserted, 0u);
+  EXPECT_GT(sure_on_removed, 0u);
 }
 
 // Removed records disappear from lookups immediately (before any
@@ -479,7 +632,9 @@ TEST(MatchServiceResidencyTest, SurvivesPipelineRunnerClearingCaches) {
 TEST(MatchServiceCreateTest, RejectsNonTokenBlocker) {
   const CaseStudyFixture& fx = CaseStudy();
   EmWorkflow wf;
-  wf.AddBlocker(MakeM1EquivalenceBlocker());
+  // A black-box predicate has no index that could answer it.
+  wf.AddBlocker(std::make_shared<RuleBlocker>(
+      "any", [](const Table&, size_t, const Table&, size_t) { return true; }));
   wf.SetMatcher(fx.trained.matcher, fx.trained.features, fx.trained.imputer);
   auto svc = MatchService::Create(wf, fx.tables.usda);
   EXPECT_FALSE(svc.ok());
@@ -505,6 +660,13 @@ TEST(MatchServiceLookupTest, MissingQueryColumnIsError) {
   Table bogus = *ReadCsvString("WrongColumn\nsome text\n");
   EXPECT_FALSE((*svc)->Lookup(bogus, 0).ok());
   EXPECT_FALSE((*svc)->Lookup(small->left, small->left.num_rows()).ok());
+
+  // Without its key column the AE blocker fails as in batch (NotFound).
+  auto fig10 = MatchService::Create(Figure10().wf, CaseStudy().tables.usda);
+  ASSERT_TRUE(fig10.ok()) << fig10.status().ToString();
+  Table titles_only = *ReadCsvString("AwardTitle\nmaize genome study\n");
+  EXPECT_EQ((*fig10)->Lookup(titles_only, 0).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
