@@ -28,26 +28,9 @@ void DeltaTokenIndex::Remove(uint32_t record) {
 }
 
 void DeltaTokenIndex::Compact() {
-  // Largest token id across live records bounds the new CSR width.
-  uint32_t tokens = 0;
-  for (uint32_t r = 0; r < rows(); ++r) {
-    if (!live_[r]) continue;
-    for (uint32_t id : record_ids(r)) tokens = std::max(tokens, id + 1);
-  }
-  csr_tokens_ = tokens;
-  csr_offsets_.assign(tokens + 1, 0);
-  for (uint32_t r = 0; r < rows(); ++r) {
-    if (!live_[r]) continue;
-    for (uint32_t id : record_ids(r)) ++csr_offsets_[id + 1];
-  }
-  for (uint32_t t = 0; t < tokens; ++t) csr_offsets_[t + 1] += csr_offsets_[t];
-  csr_postings_.resize(csr_offsets_[tokens]);
-  std::vector<uint64_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
-  for (uint32_t r = 0; r < rows(); ++r) {
-    if (!live_[r]) continue;
-    for (uint32_t id : record_ids(r)) csr_postings_[cursor[id]++] = r;
-  }
-  snapshot_rows_ = rows();
+  snapshot_ = PostingIndex(0, rows(), [this](size_t r) {
+    return live_[r] ? record_ids(static_cast<uint32_t>(r)) : IdSpan{};
+  });
   delta_.clear();
   delta_postings_ = 0;
   dead_postings_ = 0;

@@ -5,24 +5,25 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/block/posting_index.h"
 #include "src/text/token_interner.h"
 
 namespace emx {
 
-// Mutable token inverted index for the resident MatchService: a CSR
-// snapshot over the records live at the last compaction, plus per-token
-// delta posting lists for records added since, plus a tombstone bitmap for
-// deletes. Lookups probe snapshot + delta and filter tombstones at emit,
-// so at EVERY compaction state a probe sees exactly the live record set —
-// bit-identical to a from-scratch rebuild (the property the fuzz test in
-// tests/delta_index_property_test.cc asserts after every op).
+// Mutable token inverted index for the resident MatchService: a
+// PostingIndex snapshot over the records live at the last compaction, plus
+// per-token delta posting lists for records added since, plus a tombstone
+// bitmap for deletes. Lookups probe snapshot + delta and filter tombstones
+// at emit, so at EVERY compaction state a probe sees exactly the live
+// record set — bit-identical to a from-scratch rebuild (the property the
+// fuzz test in tests/delta_index_property_test.cc asserts after every op).
 //
-// Probe semantics match internal_block::OverlapJoinIds: posting lists are
-// PER-OCCURRENCE (a record holding token t k times contributes k postings
-// for t), and every occurrence of t in the query counts each posting, so
-// the emitted overlap is sum_v mult_query(v) * mult_record(v). Keep
-// predicates (overlap >= K, coefficient thresholds) layer on top exactly
-// as they do over the batch CSR index.
+// Probe semantics match the batch overlap join's, since both count through
+// PostingIndex::Count: posting lists are PER-OCCURRENCE (a record holding
+// token t k times contributes k postings for t), and every occurrence of t
+// in the query counts each posting, so the emitted overlap is
+// sum_v mult_query(v) * mult_record(v). Keep predicates (overlap >= K,
+// coefficient thresholds) layer on top exactly as they do in batch.
 //
 // Record ids are dense, assigned by Add in arrival order, and stable for
 // the index's lifetime — tombstoned ids are never reused, so candidate
@@ -76,16 +77,10 @@ class DeltaTokenIndex {
   uint64_t delta_postings() const { return delta_postings_; }
   uint64_t dead_postings() const { return dead_postings_; }
   uint64_t compactions() const { return compactions_; }
-  size_t snapshot_rows() const { return snapshot_rows_; }
 
   // Dense per-record overlap counters + touched list, owned by the prober
-  // so concurrent Probes never share state. Reset cost is proportional to
-  // records actually touched, not to corpus size.
-  struct ProbeScratch {
-    std::vector<uint32_t> counts;
-    std::vector<uint32_t> touched;
-    std::vector<uint32_t> probe;  // query ids, rare-token-first
-  };
+  // so concurrent Probes never share state.
+  using ProbeScratch = PostingIndex::ProbeScratch;
 
   // Calls emit(record, overlap) for every LIVE record sharing at least one
   // token occurrence with `query` (sorted ids, duplicates preserved), in
@@ -95,30 +90,11 @@ class DeltaTokenIndex {
   void Probe(IdSpan query, ProbeScratch* scratch, Emit&& emit) const {
     scratch->counts.resize(rows(), 0);
     scratch->touched.clear();
-    // Rare-token-first (by snapshot frequency): short posting lists fill
-    // the touched-list before frequent tokens rescan mostly-warm slots.
-    // Pure probe-order optimization — counts are order-invariant.
-    scratch->probe.assign(query.begin(), query.end());
-    std::sort(scratch->probe.begin(), scratch->probe.end(),
-              [this](uint32_t a, uint32_t b) {
-                uint64_t fa = SnapshotFrequency(a);
-                uint64_t fb = SnapshotFrequency(b);
-                if (fa != fb) return fa < fb;
-                return a < b;
-              });
-    for (uint32_t id : scratch->probe) {
-      if (id < csr_tokens_) {
-        for (uint64_t p = csr_offsets_[id]; p < csr_offsets_[id + 1]; ++p) {
-          uint32_t r = csr_postings_[p];
-          if (scratch->counts[r]++ == 0) scratch->touched.push_back(r);
-        }
-      }
-      if (id < delta_.size()) {
-        for (uint32_t r : delta_[id]) {
-          if (scratch->counts[r]++ == 0) scratch->touched.push_back(r);
-        }
-      }
-    }
+    snapshot_.Count(query, scratch, [this](uint32_t id) {
+      if (id >= delta_.size()) return IdSpan{};
+      const std::vector<uint32_t>& rows = delta_[id];
+      return IdSpan{rows.data(), static_cast<uint32_t>(rows.size())};
+    });
     // Ascending-id emit keeps downstream candidate lists deterministic
     // regardless of posting layout (snapshot vs delta) — part of the
     // rebuild-equivalence contract.
@@ -131,11 +107,6 @@ class DeltaTokenIndex {
   }
 
  private:
-  uint64_t SnapshotFrequency(uint32_t id) const {
-    if (id >= csr_tokens_) return 0;
-    return csr_offsets_[id + 1] - csr_offsets_[id];
-  }
-
   void MaybeCompact();
 
   size_t compact_threshold_;
@@ -146,12 +117,9 @@ class DeltaTokenIndex {
   std::vector<uint8_t> live_;
   size_t live_rows_ = 0;
 
-  // CSR snapshot: postings of records live at the last compaction (ids are
-  // < snapshot_rows_; some may have died since — filtered at emit).
-  size_t snapshot_rows_ = 0;
-  uint32_t csr_tokens_ = 0;
-  std::vector<uint64_t> csr_offsets_ = {0};
-  std::vector<uint32_t> csr_postings_;
+  // Postings of records live at the last compaction (some may have died
+  // since — filtered at emit).
+  PostingIndex snapshot_;
 
   // Per-token postings of records added after the snapshot, append-ordered
   // (record ids ascend within each list by construction).

@@ -29,75 +29,12 @@ struct OverlapBlockerOptions {
   size_t mem_budget_bytes = 0;
 };
 
-// Overlap blocker: a pair survives iff its token sets share at least
-// `min_overlap` tokens (§7 step 2, threshold K; K=3 in the paper).
-//
-// Implementation: both columns are prepped once into sorted token-id spans
-// (via the shared PrepCache when one is installed), then the partitioned
-// blocking engine streams right-table partitions — each carrying a flat
-// CSR inverted index probed per left record into a dense per-record count
-// array with a touched-list for sparse reset — within the options' memory
-// budget; never the full Cartesian product, and no per-probe hashing or
-// allocation. Left records with fewer than `min_overlap` tokens are pruned
-// before probing (they cannot reach the threshold).
-class OverlapBlocker : public Blocker {
- public:
-  OverlapBlocker(OverlapBlockerOptions options, size_t min_overlap,
-                 std::shared_ptr<Tokenizer> tokenizer = nullptr);
-
-  using Blocker::Block;
-  Result<CandidateSet> Block(const Table& left, const Table& right,
-                             const ExecutorContext& ctx) const override;
-
-  std::string name() const override;
-
-  void set_prep_cache(std::shared_ptr<PrepCache> cache) override {
-    prep_cache_ = std::move(cache);
-  }
-
-  // Configuration introspection (MatchService::Create replays the same
-  // normalization, tokenizer, and keep predicate against its delta index).
-  const OverlapBlockerOptions& options() const { return options_; }
-  size_t min_overlap() const { return min_overlap_; }
-  const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
-
- private:
-  OverlapBlockerOptions options_;
-  size_t min_overlap_;
-  std::shared_ptr<Tokenizer> tokenizer_;  // defaults to WhitespaceTokenizer
-  std::shared_ptr<PrepCache> prep_cache_;  // optional, workflow-scoped
-};
-
-// Overlap-coefficient blocker: survives iff
-// |A ∩ B| / min(|A|, |B|) >= threshold (§7 step 3; 0.7 in the paper).
-// Unlike the raw-overlap blocker this admits very short titles.
-class OverlapCoefficientBlocker : public Blocker {
- public:
-  OverlapCoefficientBlocker(OverlapBlockerOptions options, double threshold,
-                            std::shared_ptr<Tokenizer> tokenizer = nullptr);
-
-  using Blocker::Block;
-  Result<CandidateSet> Block(const Table& left, const Table& right,
-                             const ExecutorContext& ctx) const override;
-
-  std::string name() const override;
-
-  void set_prep_cache(std::shared_ptr<PrepCache> cache) override {
-    prep_cache_ = std::move(cache);
-  }
-
-  const OverlapBlockerOptions& options() const { return options_; }
-  double threshold() const { return threshold_; }
-  const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
-
- private:
-  OverlapBlockerOptions options_;
-  double threshold_;
-  std::shared_ptr<Tokenizer> tokenizer_;
-  std::shared_ptr<PrepCache> prep_cache_;
-};
-
 namespace internal_block {
+
+// `keep(left_size, right_size, overlap)` decides whether a probed pair
+// becomes a candidate; sizes are token counts (per-occurrence, i.e. set
+// sizes under unique tokenizers).
+using OverlapKeepFn = std::function<bool(size_t, size_t, size_t)>;
 
 // Normalizes and tokenizes every value of `column` according to `options`.
 // Legacy string-token representation — superseded by PrepCache in the hot
@@ -106,11 +43,6 @@ std::vector<std::vector<std::string>> TokenizeColumn(
     const std::vector<Value>& column, const OverlapBlockerOptions& options,
     const Tokenizer& tokenizer);
 
-// `keep(left_size, right_size, overlap)` decides whether a probed pair
-// becomes a candidate; sizes are token counts (per-occurrence, i.e. set
-// sizes under unique tokenizers).
-using OverlapKeepFn = std::function<bool(size_t, size_t, size_t)>;
-
 // Legacy string-keyed overlap join (unordered_map inverted index,
 // per-probe hashing). Equivalence oracle only.
 CandidateSet OverlapJoinStrings(
@@ -118,21 +50,77 @@ CandidateSet OverlapJoinStrings(
     const std::vector<std::vector<std::string>>& right_tokens,
     const OverlapKeepFn& keep, const ExecutorContext& ctx);
 
-// Token-id overlap join over prepared columns sharing one interner: CSR
-// inverted index over right-side ids, rare-token-first probes, dense count
-// array + touched-list per chunk. Produces the identical candidate set to
-// OverlapJoinStrings over the same tokenization.
-CandidateSet OverlapJoinIds(const PreparedColumn& left,
-                            const PreparedColumn& right,
-                            const OverlapKeepFn& keep,
-                            const ExecutorContext& ctx);
-
 // PrepOptions equivalent of a blocker-options normalization.
 inline PrepOptions ToPrepOptions(const OverlapBlockerOptions& options) {
   return {options.lowercase, options.strip_punctuation};
 }
 
 }  // namespace internal_block
+
+// A blocker that keeps a pair when the token multisets of its two
+// attribute values overlap enough, as decided by keep(). Both columns are
+// prepped once into sorted token-id spans (via the shared PrepCache when
+// one is installed), then the partitioned blocking engine streams
+// right-table partitions, each a PostingIndex probed per left record
+// (partitioned_blocker.h), within the options' memory budget; never the
+// full Cartesian product, and no per-probe hashing or allocation. Left
+// records with fewer than min_left_tokens() tokens are pruned before
+// probing. MatchService replays the same normalization, tokenizer, keep()
+// and min_left_tokens() against its delta index.
+class TokenOverlapBlocker : public Blocker {
+ public:
+  using Blocker::Block;
+  Result<CandidateSet> Block(const Table& left, const Table& right,
+                             const ExecutorContext& ctx) const override;
+
+  void set_prep_cache(std::shared_ptr<PrepCache> cache) override {
+    prep_cache_ = std::move(cache);
+  }
+
+  const OverlapBlockerOptions& options() const { return options_; }
+  const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
+  const internal_block::OverlapKeepFn& keep() const { return keep_; }
+  // Left records with fewer tokens than this cannot satisfy keep().
+  size_t min_left_tokens() const { return min_left_tokens_; }
+
+ protected:
+  // A null tokenizer means WhitespaceTokenizer.
+  TokenOverlapBlocker(OverlapBlockerOptions options,
+                      std::shared_ptr<Tokenizer> tokenizer,
+                      internal_block::OverlapKeepFn keep,
+                      size_t min_left_tokens);
+
+ private:
+  OverlapBlockerOptions options_;
+  std::shared_ptr<Tokenizer> tokenizer_;
+  internal_block::OverlapKeepFn keep_;
+  size_t min_left_tokens_;
+  std::shared_ptr<PrepCache> prep_cache_;  // optional, workflow-scoped
+};
+
+// Overlap blocker: a pair survives iff its token sets share at least
+// `min_overlap` tokens (§7 step 2, threshold K; K=3 in the paper).
+class OverlapBlocker : public TokenOverlapBlocker {
+ public:
+  OverlapBlocker(OverlapBlockerOptions options, size_t min_overlap,
+                 std::shared_ptr<Tokenizer> tokenizer = nullptr);
+
+  std::string name() const override;
+};
+
+// Overlap-coefficient blocker: survives iff
+// |A ∩ B| / min(|A|, |B|) >= threshold (§7 step 3; 0.7 in the paper).
+// Unlike the raw-overlap blocker this admits very short titles.
+class OverlapCoefficientBlocker : public TokenOverlapBlocker {
+ public:
+  OverlapCoefficientBlocker(OverlapBlockerOptions options, double threshold,
+                            std::shared_ptr<Tokenizer> tokenizer = nullptr);
+
+  std::string name() const override;
+
+ private:
+  double threshold_;
+};
 
 }  // namespace emx
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/block/posting_index.h"
 #include "src/core/logging.h"
 #include "src/core/strings.h"
 
@@ -61,28 +62,6 @@ PartitionPlan PlanPartitions(size_t right_rows, size_t token_occurrences,
   return plan;
 }
 
-RangeIdIndex::RangeIdIndex(const PreparedColumn& right, size_t row_begin,
-                           size_t row_end) {
-  uint32_t num_ids = 0;
-  for (size_t r = row_begin; r < row_end; ++r) {
-    IdSpan s = right.ids(r);
-    // Spans are sorted, so the last element is the row maximum.
-    if (s.size > 0) num_ids = std::max(num_ids, s.data[s.size - 1] + 1);
-  }
-  offsets_.assign(num_ids + 1, 0);
-  for (size_t r = row_begin; r < row_end; ++r) {
-    for (uint32_t id : right.ids(r)) ++offsets_[id + 1];
-  }
-  for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
-  postings_.resize(offsets_.back());
-  std::vector<uint64_t> fill(offsets_.begin(), offsets_.end() - 1);
-  for (size_t r = row_begin; r < row_end; ++r) {
-    for (uint32_t id : right.ids(r)) {
-      postings_[fill[id]++] = static_cast<uint32_t>(r - row_begin);
-    }
-  }
-}
-
 CandidateSet PartitionedOverlapJoin(const PreparedColumn& left,
                                     const PreparedColumn& right,
                                     const OverlapKeepFn& keep,
@@ -112,15 +91,14 @@ CandidateSet PartitionedOverlapJoin(const PreparedColumn& left,
     auto part_start = std::chrono::steady_clock::now();
     size_t lo = p * plan.rows_per_partition;
     size_t hi = std::min(right.rows(), lo + plan.rows_per_partition);
-    RangeIdIndex index(right, lo, hi);
+    PostingIndex index(lo, hi, [&right](size_t r) { return right.ids(r); });
     size_t part_rows = hi - lo;
     std::vector<RecordPair> pairs = ctx.get().ParallelFlatMap(
         left.rows(), /*grain=*/0,
         [&](size_t chunk_lo, size_t chunk_hi) {
           std::vector<RecordPair> out;
-          std::vector<uint32_t> counts(part_rows, 0);
-          std::vector<uint32_t> touched;
-          std::vector<uint32_t> probe;
+          PostingIndex::ProbeScratch scratch;
+          scratch.counts.assign(part_rows, 0);
           for (size_t l = chunk_lo; l < chunk_hi; ++l) {
             IdSpan ids = left.ids(l);
             // Length pruning: overlap can never exceed the left token
@@ -128,33 +106,15 @@ CandidateSet PartitionedOverlapJoin(const PreparedColumn& left,
             // entirely (bit-identical — they could only emit pairs that
             // `keep` rejects).
             if (ids.size < min_left_tokens) continue;
-            probe.assign(ids.begin(), ids.end());
-            // Rare tokens first: short postings fill the touched-list
-            // before frequent tokens rescan mostly-warm slots.
-            std::sort(probe.begin(), probe.end(),
-                      [&index](uint32_t a, uint32_t b) {
-                        uint64_t fa = index.frequency(a);
-                        uint64_t fb = index.frequency(b);
-                        if (fa != fb) return fa < fb;
-                        return a < b;
-                      });
-            const auto& offsets = index.offsets();
-            const auto& postings = index.postings();
-            for (uint32_t id : probe) {
-              if (id >= index.num_ids()) continue;
-              for (uint64_t i = offsets[id]; i < offsets[id + 1]; ++i) {
-                uint32_t r = postings[i];
-                if (counts[r]++ == 0) touched.push_back(r);
-              }
-            }
-            for (uint32_t r : touched) {
-              if (keep(ids.size, right.ids(lo + r).size, counts[r])) {
+            index.Count(ids, &scratch);
+            for (uint32_t r : scratch.touched) {
+              if (keep(ids.size, right.ids(lo + r).size, scratch.counts[r])) {
                 out.push_back({static_cast<uint32_t>(l),
                                static_cast<uint32_t>(lo + r)});
               }
-              counts[r] = 0;
+              scratch.counts[r] = 0;
             }
-            touched.clear();
+            scratch.touched.clear();
           }
           return out;
         });

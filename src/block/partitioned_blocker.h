@@ -20,9 +20,9 @@ namespace internal_block {
 // parallelizes over left-table chunks on the executor); per-partition pair
 // vectors concatenate in partition order before the order-insensitive
 // CandidateSet canonicalization, so the output is BIT-IDENTICAL to the
-// monolithic join at any budget, partition size, and thread count: whether
-// a pair (l, r) survives depends only on the two records' token spans,
-// never on which partition r landed in.
+// single-partition join (budget 0) at any budget, partition size, and
+// thread count: whether a pair (l, r) survives depends only on the two
+// records' token spans, never on which partition r landed in.
 struct BlockBudget {
   // Peak working-set bytes for the index + probe scratch. 0 = unbounded:
   // one partition covering the whole right table (the monolithic layout).
@@ -48,37 +48,6 @@ struct PartitionPlan {
 PartitionPlan PlanPartitions(size_t right_rows, size_t token_occurrences,
                              size_t distinct_ids, const BlockBudget& budget);
 
-// CSR inverted index over one right-table row range [row_begin, row_end):
-// postings[offsets[id] .. offsets[id+1]) lists the LOCAL offsets
-// (row - row_begin) of the range's records containing id, ascending.
-// Offsets are 64-bit: at 1M x 1M scale a hot-token corpus can exceed 4B
-// postings in the unbounded single-partition layout, and the cumulative
-// sums here are exactly the counters a uint32 would wrap (the PR-9 size
-// audit; local postings stay uint32 because a partition is row-bounded).
-class RangeIdIndex {
- public:
-  RangeIdIndex(const PreparedColumn& right, size_t row_begin, size_t row_end);
-
-  uint32_t num_ids() const {
-    return static_cast<uint32_t>(offsets_.size() - 1);
-  }
-  uint64_t frequency(uint32_t id) const {
-    return id < num_ids() ? offsets_[id + 1] - offsets_[id] : 0;
-  }
-  const std::vector<uint64_t>& offsets() const { return offsets_; }
-  const std::vector<uint32_t>& postings() const { return postings_; }
-
-  // Actual bytes held, for budget accounting and the bench's peak report.
-  size_t bytes() const {
-    return offsets_.size() * sizeof(uint64_t) +
-           postings_.size() * sizeof(uint32_t);
-  }
-
- private:
-  std::vector<uint64_t> offsets_;   // num_ids + 1
-  std::vector<uint32_t> postings_;  // local right offsets in [0, range size)
-};
-
 // Per-run observability for the bench harness: per-partition wall times
 // (p50/p99 in BENCH_scale.json) and the peak index working set.
 struct PartitionedJoinStats {
@@ -87,11 +56,14 @@ struct PartitionedJoinStats {
   std::vector<double> partition_ms;
 };
 
-// The partitioned overlap join. `keep(left_size, right_size, overlap)`
-// decides survival exactly as in OverlapJoinIds (the retained monolithic
-// oracle); `min_left_tokens` prunes left records whose token count makes
-// `keep` unsatisfiable (overlap <= |left| — pass the overlap blocker's K,
-// or 1 when only empty rows are prunable). `stats` may be null.
+// The partitioned overlap join: each partition is a PostingIndex over its
+// right rows, probed per left record with PostingIndex::Count.
+// `keep(left_size, right_size, overlap)` decides survival, with sizes in
+// token occurrences; the result equals OverlapJoinStrings (the string-keyed
+// oracle) over the same tokenization. `min_left_tokens` prunes left records
+// whose token count makes `keep` unsatisfiable (overlap <= |left| — pass
+// the overlap blocker's K, or 1 when only empty rows are prunable). `stats`
+// may be null.
 CandidateSet PartitionedOverlapJoin(const PreparedColumn& left,
                                     const PreparedColumn& right,
                                     const OverlapKeepFn& keep,

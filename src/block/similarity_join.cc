@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "src/block/partitioned_blocker.h"
+#include "src/block/posting_index.h"
 #include "src/core/logging.h"
 #include "src/core/strings.h"
 #include "src/text/set_similarity.h"
@@ -101,15 +102,11 @@ Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
     size_t part_lo = part * plan.rows_per_partition;
     size_t part_hi = std::min(num_right, part_lo + plan.rows_per_partition);
     size_t part_rows = part_hi - part_lo;
-    // Prefix index over this partition (dense by id; LOCAL postings in r
-    // order).
-    std::vector<std::vector<uint32_t>> index(token_strings.size());
-    for (size_t r = part_lo; r < part_hi; ++r) {
-      size_t p = prefix_len(rt[r].size());
-      for (size_t i = 0; i < p; ++i) {
-        index[rt[r][i]].push_back(static_cast<uint32_t>(r - part_lo));
-      }
-    }
+    // Prefix index over this partition (LOCAL postings in r order).
+    PostingIndex index(part_lo, part_hi, [&](size_t r) {
+      return IdSpan{rt[r].data(),
+                    static_cast<uint32_t>(prefix_len(rt[r].size()))};
+    });
 
     // Probe with left prefixes in parallel chunks; verify candidates
     // exactly with the allocation-free merge kernel over the id-sorted
@@ -127,7 +124,7 @@ Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
           for (size_t l = lo; l < hi; ++l) {
             size_t p = prefix_len(lt[l].size());
             for (size_t i = 0; i < p; ++i) {
-              for (uint32_t local : index[lt[l][i]]) {
+              for (uint32_t local : index.postings(lt[l][i])) {
                 if (seen[local]) continue;
                 seen[local] = 1;
                 touched.push_back(local);

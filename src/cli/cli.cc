@@ -1,5 +1,7 @@
 #include "src/cli/cli.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -7,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "src/block/attr_equivalence_blocker.h"
 #include "src/core/executor.h"
@@ -72,6 +75,27 @@ int Fail(std::string& err, const std::string& message) {
   err += message;
   err += '\n';
   return 1;
+}
+
+// Numeric flag `key`, or `fallback` when it is absent. The whole value
+// must parse as a T in range (an unsigned integer, or a finite double);
+// anything else is InvalidArgument naming the flag.
+template <typename T>
+Result<T> NumericFlag(const Args& args, const std::string& key, T fallback) {
+  if (!args.Has(key)) return fallback;
+  const std::string raw = args.Flag(key);
+  const char* end = raw.data() + raw.size();
+  T value{};
+  std::from_chars_result parsed = std::from_chars(raw.data(), end, value);
+  bool ok = parsed.ec == std::errc() && parsed.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    return Status::InvalidArgument(
+        "--" + key + "=" + raw + ": expected " +
+        (std::is_floating_point_v<T> ? "a finite number"
+                                     : "an unsigned integer in range"));
+  }
+  return value;
 }
 
 // --- pair CSV I/O ---------------------------------------------------------------
@@ -159,16 +183,16 @@ Result<std::shared_ptr<Blocker>> MakeBlockerFromArgs(
   if (method == "ae") {
     blocker = std::make_shared<AttrEquivalenceBlocker>(left_attr, right_attr);
   } else if (method == "overlap") {
-    size_t k = static_cast<size_t>(std::atol(args.Flag("k", "3").c_str()));
+    EMX_ASSIGN_OR_RETURN(size_t k, NumericFlag<size_t>(args, "k", 3));
     blocker = std::make_shared<OverlapBlocker>(opts, k);
   } else if (method == "coeff") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
+    EMX_ASSIGN_OR_RETURN(double t, NumericFlag(args, "threshold", 0.7));
     blocker = std::make_shared<OverlapCoefficientBlocker>(opts, t);
   } else if (method == "jaccard") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
+    EMX_ASSIGN_OR_RETURN(double t, NumericFlag(args, "threshold", 0.7));
     blocker = std::make_shared<JaccardJoinBlocker>(opts, t);
   } else if (method == "snb") {
-    size_t w = static_cast<size_t>(std::atol(args.Flag("window", "5").c_str()));
+    EMX_ASSIGN_OR_RETURN(size_t w, NumericFlag<size_t>(args, "window", 5));
     blocker =
         std::make_shared<SortedNeighborhoodBlocker>(left_attr, right_attr, w);
   } else {
@@ -343,11 +367,13 @@ int CmdDedupe(const Args& args, const ExecutorContext& ctx, std::string& out,
   if (method == "ae") {
     blocker = std::make_unique<AttrEquivalenceBlocker>(attr, attr);
   } else if (method == "overlap") {
-    size_t k = static_cast<size_t>(std::atol(args.Flag("k", "3").c_str()));
-    blocker = std::make_unique<OverlapBlocker>(opts, k);
+    Result<size_t> k = NumericFlag<size_t>(args, "k", 3);
+    if (!k.ok()) return Fail(err, k.status().ToString());
+    blocker = std::make_unique<OverlapBlocker>(opts, *k);
   } else if (method == "jaccard") {
-    double t = std::atof(args.Flag("threshold", "0.7").c_str());
-    blocker = std::make_unique<JaccardJoinBlocker>(opts, t);
+    Result<double> t = NumericFlag(args, "threshold", 0.7);
+    if (!t.ok()) return Fail(err, t.status().ToString());
+    blocker = std::make_unique<JaccardJoinBlocker>(opts, *t);
   } else {
     return Fail(err, "unknown --method '" + method + "' (ae|overlap|jaccard)");
   }
@@ -374,18 +400,20 @@ int CmdDatagen(const Args& args, const ExecutorContext& ctx, std::string& out,
                 "[--out-gold=gold.csv]");
   }
   ScaleCorpusOptions opts;
-  if (args.Has("sf")) opts.scale_factor = std::atof(args.Flag("sf").c_str());
-  if (args.Has("seed")) {
-    opts.seed = std::strtoull(args.Flag("seed").c_str(), nullptr, 10);
+  Result<size_t> shard_rows = NumericFlag(args, "shard-rows", opts.shard_rows);
+  if (!shard_rows.ok() || *shard_rows == 0) {
+    return Fail(err, "--shard-rows must be a positive integer");
   }
-  if (args.Has("shard-rows")) {
-    long n = std::atol(args.Flag("shard-rows").c_str());
-    if (n <= 0) return Fail(err, "--shard-rows must be a positive integer");
-    opts.shard_rows = static_cast<size_t>(n);
-  }
-  if (args.Has("match-rate")) {
-    opts.match_rate = std::atof(args.Flag("match-rate").c_str());
-  }
+  opts.shard_rows = *shard_rows;
+  Status flags = [&]() -> Status {
+    EMX_ASSIGN_OR_RETURN(opts.scale_factor,
+                         NumericFlag(args, "sf", opts.scale_factor));
+    EMX_ASSIGN_OR_RETURN(opts.seed, NumericFlag(args, "seed", opts.seed));
+    EMX_ASSIGN_OR_RETURN(opts.match_rate,
+                         NumericFlag(args, "match-rate", opts.match_rate));
+    return Status::OK();
+  }();
+  if (!flags.ok()) return Fail(err, flags.ToString());
   auto corpus = GenerateScaleCorpus(opts, ctx);
   if (!corpus.ok()) return Fail(err, corpus.status().ToString());
   if (Status s = WriteCsvFile(corpus->left, args.Flag("out-left")); !s.ok()) {
@@ -627,6 +655,20 @@ int CmdServe(const Args& args, const ExecutorContext& ctx, std::string& out,
                 "[--queue-capacity=N] [--batch-max=N] "
                 "[--compact-threshold=N]");
   }
+  MatchServiceOptions sopts;
+  ServeOptions lopts;
+  Status flags = [&]() -> Status {
+    EMX_ASSIGN_OR_RETURN(sopts.compact_threshold,
+                         NumericFlag(args, "compact-threshold",
+                                     sopts.compact_threshold));
+    EMX_ASSIGN_OR_RETURN(
+        lopts.queue_capacity,
+        NumericFlag(args, "queue-capacity", lopts.queue_capacity));
+    EMX_ASSIGN_OR_RETURN(lopts.batch_max,
+                         NumericFlag(args, "batch-max", lopts.batch_max));
+    return Status::OK();
+  }();
+  if (!flags.ok()) return Fail(err, flags.ToString());
   auto left = ReadCsvFile(args.positional[0]);
   if (!left.ok()) return Fail(err, left.status().ToString());
   auto corpus = ReadCsvFile(args.positional[1]);
@@ -682,19 +724,8 @@ int CmdServe(const Args& args, const ExecutorContext& ctx, std::string& out,
   wf.AddBlocker(*blocker_or);
   wf.SetMatcher(matcher, std::move(*features), std::move(imputer));
 
-  MatchServiceOptions sopts;
-  if (args.Has("compact-threshold")) {
-    sopts.compact_threshold = static_cast<size_t>(
-        std::atol(args.Flag("compact-threshold").c_str()));
-  }
   auto service = MatchService::Create(wf, *corpus, sopts, ctx);
   if (!service.ok()) return Fail(err, service.status().ToString());
-
-  ServeOptions lopts;
-  lopts.queue_capacity = static_cast<size_t>(
-      std::atol(args.Flag("queue-capacity", "128").c_str()));
-  lopts.batch_max =
-      static_cast<size_t>(std::atol(args.Flag("batch-max", "16").c_str()));
 
   const std::string requests_path = args.Flag("requests");
   ServeCounters totals;
@@ -764,9 +795,11 @@ int RunCli(const std::vector<std::string>& args, std::string& out,
   std::unique_ptr<Executor> pool;
   ExecutorContext ctx;
   if (parsed.Has("threads")) {
-    long n = std::atol(parsed.Flag("threads").c_str());
-    if (n <= 0) return Fail(err, "--threads must be a positive integer");
-    pool = std::make_unique<Executor>(static_cast<size_t>(n));
+    Result<size_t> n = NumericFlag<size_t>(parsed, "threads", 0);
+    if (!n.ok() || *n == 0) {
+      return Fail(err, "--threads must be a positive integer");
+    }
+    pool = std::make_unique<Executor>(*n);
     ctx.executor = pool.get();
   }
 

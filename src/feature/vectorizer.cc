@@ -9,82 +9,121 @@
 
 namespace emx {
 
-std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec) {
-  if (!spec.tokenize) return nullptr;
-  if (spec.qgram > 0) return std::make_unique<QgramTokenizer>(spec.qgram);
-  return std::make_unique<WhitespaceTokenizer>();
+FeaturePrep PrepForFeature(const FeaturePrepSpec& spec) {
+  FeaturePrep out;
+  out.options = {spec.lowercase, /*strip_punctuation=*/false};
+  if (spec.tokenize && spec.qgram > 0) {
+    out.tokenizer = std::make_shared<QgramTokenizer>(spec.qgram);
+  } else if (spec.tokenize) {
+    out.tokenizer = std::make_shared<WhitespaceTokenizer>();
+  }
+  return out;
+}
+
+void EvaluateFeatures(const FeatureSet& features,
+                      const std::vector<FeatureInputs>& inputs,
+                      const std::vector<RecordPair>& pairs, size_t lo,
+                      size_t hi, PairBatch* batch) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Gather/scatter staging for the batch kernels, reused across features
+  // and calls on this thread.
+  thread_local std::vector<std::string_view> ga, gb;
+  thread_local std::vector<double> scores;
+  thread_local std::vector<uint32_t> lanes;
+  for (size_t i = 0; i < features.features.size(); ++i) {
+    const Feature& f = features.features[i];
+    const FeatureInputs& in = inputs[i];
+    double* col = batch->Column(i);
+    if (in.left_prep != nullptr && f.has_batch()) {
+      // Null lanes score NaN directly; the rest gather into contiguous
+      // view arrays for one batch-kernel call over the whole range.
+      ga.clear();
+      gb.clear();
+      lanes.clear();
+      for (size_t k = lo; k < hi; ++k) {
+        const RecordPair& p = pairs[k];
+        if (in.left_prep->is_null(p.left) || in.right_prep->is_null(p.right)) {
+          col[k] = kNaN;
+        } else {
+          lanes.push_back(static_cast<uint32_t>(k));
+          ga.push_back(in.left_prep->text(p.left));
+          gb.push_back(in.right_prep->text(p.right));
+        }
+      }
+      scores.resize(ga.size());
+      f.batch_fn(ga.data(), gb.data(), ga.size(), scores.data());
+      for (size_t j = 0; j < lanes.size(); ++j) col[lanes[j]] = scores[j];
+    } else if (in.left_prep != nullptr) {
+      for (size_t k = lo; k < hi; ++k) {
+        const RecordPair& p = pairs[k];
+        col[k] = f.prep_fn(*in.left_prep, p.left, *in.right_prep, p.right);
+      }
+    } else {
+      for (size_t k = lo; k < hi; ++k) {
+        const RecordPair& p = pairs[k];
+        col[k] = f.fn((*in.left)[p.left], (*in.right)[p.right]);
+      }
+    }
+  }
 }
 
 namespace {
 
-// Attribute columns a feature reads, resolved once; features with a prepared
-// evaluator bind to PreparedColumns built once per (column, prep spec) —
-// each record is prepped a single time no matter how many pairs it appears
-// in.
-struct Bound {
-  const std::vector<Value>* lcol;
-  const std::vector<Value>* rcol;
-  std::shared_ptr<const PreparedColumn> lprep;  // null -> legacy fn
-  std::shared_ptr<const PreparedColumn> rprep;
+// Features bound to a table pair; `preps` keeps alive the prepared columns
+// `inputs` point into.
+struct BoundFeatures {
+  std::vector<FeatureInputs> inputs;
+  std::vector<std::shared_ptr<const PreparedColumn>> preps;
 };
 
-Result<std::vector<Bound>> BindFeatures(const Table& left, const Table& right,
-                                        const FeatureSet& features,
-                                        PrepCache& prep_cache,
-                                        bool use_prepared) {
-  std::vector<Bound> bound;
-  bound.reserve(features.features.size());
+// Resolves every feature's attribute columns (NotFound when one is
+// missing). With `prepared`, each feature with a prepared evaluator also
+// binds its columns' prepared forms, built once per (column, prep spec)
+// through `cache` — each record is prepped a single time no matter how
+// many pairs it appears in.
+Result<BoundFeatures> BindFeatures(const Table& left, const Table& right,
+                                   const FeatureSet& features,
+                                   PrepCache& cache, bool prepared) {
+  BoundFeatures out;
+  out.inputs.reserve(features.features.size());
   for (const Feature& f : features.features) {
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol,
-                         left.ColumnByName(f.left_attr));
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                         right.ColumnByName(f.right_attr));
-    Bound b{lcol, rcol, nullptr, nullptr};
-    if (use_prepared && f.has_prep()) {
-      std::unique_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
-      PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
-      b.lprep = prep_cache.Get(*lcol, opts, tok.get());
-      b.rprep = prep_cache.Get(*rcol, opts, tok.get());
+    FeatureInputs in;
+    EMX_ASSIGN_OR_RETURN(in.left, left.ColumnByName(f.left_attr));
+    EMX_ASSIGN_OR_RETURN(in.right, right.ColumnByName(f.right_attr));
+    if (prepared && f.has_prep()) {
+      FeaturePrep prep = PrepForFeature(f.prep);
+      out.preps.push_back(
+          cache.Get(*in.left, prep.options, prep.tokenizer.get()));
+      in.left_prep = out.preps.back().get();
+      out.preps.push_back(
+          cache.Get(*in.right, prep.options, prep.tokenizer.get()));
+      in.right_prep = out.preps.back().get();
     }
-    bound.push_back(std::move(b));
+    out.inputs.push_back(in);
   }
-  return bound;
+  return out;
 }
 
-Result<FeatureMatrix> VectorizeImpl(const Table& left, const Table& right,
-                                    const CandidateSet& pairs,
-                                    const FeatureSet& features,
-                                    const ExecutorContext& ctx,
-                                    PrepCache* cache, bool use_prepared) {
+// Feature-major within each executor chunk. Chunks are disjoint pair
+// ranges, so any thread count writes the same cells with the same values.
+Result<PairBatch> Vectorize(const Table& left, const Table& right,
+                            const CandidateSet& pairs,
+                            const FeatureSet& features,
+                            const ExecutorContext& ctx, PrepCache* cache,
+                            bool prepared) {
   PrepCache local_cache;
   PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
   EMX_ASSIGN_OR_RETURN(
-      std::vector<Bound> bound,
-      BindFeatures(left, right, features, prep_cache, use_prepared));
-
-  const size_t width = features.features.size();
-  FeatureMatrix m;
-  m.feature_names = features.names();
-  // The full pairs.size() x width shape is known here; size every row up
-  // front and fill by index, rather than growing each row behind push_back.
-  m.rows.resize(pairs.size());
-  ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      const RecordPair& p = pairs[r];
-      std::vector<double>& row = m.rows[r];
-      row.resize(width);
-      for (size_t i = 0; i < width; ++i) {
-        const Feature& f = features.features[i];
-        if (bound[i].lprep != nullptr) {
-          row[i] = f.prep_fn(*bound[i].lprep, p.left, *bound[i].rprep, p.right);
-        } else {
-          row[i] = f.fn((*bound[i].lcol)[p.left], (*bound[i].rcol)[p.right]);
-        }
-      }
-    }
-  });
-  return m;
+      BoundFeatures bound,
+      BindFeatures(left, right, features, prep_cache, prepared));
+  PairBatch batch(pairs.size(), features.features.size());
+  batch.feature_names = features.names();
+  ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0,
+                        [&](size_t lo, size_t hi) {
+                          EvaluateFeatures(features, bound.inputs,
+                                           pairs.pairs(), lo, hi, &batch);
+                        });
+  return batch;
 }
 
 }  // namespace
@@ -94,64 +133,8 @@ Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
                                       const FeatureSet& features,
                                       const ExecutorContext& ctx,
                                       PrepCache* cache) {
-  PrepCache local_cache;
-  PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
-  EMX_ASSIGN_OR_RETURN(
-      std::vector<Bound> bound,
-      BindFeatures(left, right, features, prep_cache, /*use_prepared=*/true));
-
-  const size_t width = features.features.size();
-  PairBatch batch(pairs.size(), width);
-  batch.feature_names = features.names();
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  // Feature-major within each chunk: every feature sweeps the chunk's lanes
-  // before the next feature starts, writing its contiguous column slice.
-  // Chunks are disjoint pair ranges, so any thread count writes the same
-  // cells with the same values.
-  ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0, [&](size_t lo,
-                                                          size_t hi) {
-    // Gather/scatter staging for the batch kernels, reused across features
-    // and chunks on this thread.
-    thread_local std::vector<std::string_view> ga, gb;
-    thread_local std::vector<double> scores;
-    thread_local std::vector<uint32_t> lanes;
-    for (size_t i = 0; i < width; ++i) {
-      const Feature& f = features.features[i];
-      double* col = batch.Column(i);
-      const Bound& b = bound[i];
-      if (b.lprep != nullptr && f.has_batch()) {
-        // Null lanes score NaN directly; the rest gather into contiguous
-        // view arrays for one batch-kernel call over the whole chunk.
-        ga.clear();
-        gb.clear();
-        lanes.clear();
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          if (b.lprep->is_null(p.left) || b.rprep->is_null(p.right)) {
-            col[r] = kNaN;
-          } else {
-            lanes.push_back(static_cast<uint32_t>(r));
-            ga.push_back(b.lprep->text(p.left));
-            gb.push_back(b.rprep->text(p.right));
-          }
-        }
-        scores.resize(ga.size());
-        f.batch_fn(ga.data(), gb.data(), ga.size(), scores.data());
-        for (size_t k = 0; k < lanes.size(); ++k) col[lanes[k]] = scores[k];
-      } else if (b.lprep != nullptr) {
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          col[r] = f.prep_fn(*b.lprep, p.left, *b.rprep, p.right);
-        }
-      } else {
-        for (size_t r = lo; r < hi; ++r) {
-          const RecordPair& p = pairs[r];
-          col[r] = f.fn((*b.lcol)[p.left], (*b.rcol)[p.right]);
-        }
-      }
-    }
-  });
-  return batch;
+  return Vectorize(left, right, pairs, features, ctx, cache,
+                   /*prepared=*/true);
 }
 
 Result<FeatureMatrix> VectorizePairs(const Table& left, const Table& right,
@@ -170,8 +153,10 @@ Result<FeatureMatrix> VectorizePairsUnprepared(const Table& left,
                                                const CandidateSet& pairs,
                                                const FeatureSet& features,
                                                const ExecutorContext& ctx) {
-  return VectorizeImpl(left, right, pairs, features, ctx, /*cache=*/nullptr,
-                       /*use_prepared=*/false);
+  EMX_ASSIGN_OR_RETURN(PairBatch batch,
+                       Vectorize(left, right, pairs, features, ctx,
+                                 /*cache=*/nullptr, /*prepared=*/false));
+  return batch.ToMatrix();
 }
 
 void MeanImputer::Fit(const FeatureMatrix& matrix) {

@@ -13,11 +13,38 @@
 
 namespace emx {
 
-// The tokenizer a feature's prep spec asks for, or null for text-only
-// prep. Exported so MatchService preps its resident corpus segments with
-// EXACTLY the tokenization the batch vectorizer would use — one source of
-// truth for the spec → tokenizer mapping.
-std::unique_ptr<Tokenizer> TokenizerForSpec(const FeaturePrepSpec& spec);
+// How a feature's prepared evaluator needs both its columns prepped:
+// lowercase from the spec, never punctuation stripping, and the spec's
+// tokenizer (null for text-only prep). The batch vectorizer and
+// MatchService both bind features through this one mapping.
+struct FeaturePrep {
+  PrepOptions options;
+  std::shared_ptr<Tokenizer> tokenizer;
+};
+FeaturePrep PrepForFeature(const FeaturePrepSpec& spec);
+
+// One feature's operands for EvaluateFeatures. Pair (l, r) reads row l on
+// the left and row r on the right. A feature with a prepared evaluator
+// reads the two prepared columns (from one PrepCache); any other calls its
+// Value fn on the two attribute columns.
+struct FeatureInputs {
+  const std::vector<Value>* left = nullptr;
+  const std::vector<Value>* right = nullptr;
+  const PreparedColumn* left_prep = nullptr;  // null: the Value fn
+  const PreparedColumn* right_prep = nullptr;
+};
+
+// Writes feature i of pairs[k] to batch->Column(i)[k] for k in [lo, hi),
+// feature-major: each feature sweeps the range before the next starts. A
+// prepared feature with a batch kernel scores the range's non-null lanes
+// in one kernel call (a null side scores NaN); one without calls prep_fn
+// per pair. The batch vectorizer calls this once per executor chunk and
+// MatchService::Lookup once over its (query, record) pairs, so both
+// compute the same doubles. Feature fns must be thread-safe.
+void EvaluateFeatures(const FeatureSet& features,
+                      const std::vector<FeatureInputs>& inputs,
+                      const std::vector<RecordPair>& pairs, size_t lo,
+                      size_t hi, PairBatch* batch);
 
 // Converts each candidate record pair into a feature vector by evaluating
 // every feature of `features` on the pair's attribute values (§9: "we used
@@ -42,11 +69,11 @@ Result<FeatureMatrix> VectorizePairs(const Table& left, const Table& right,
                                      PrepCache* cache = nullptr);
 
 // The columnar hot path: same prep and the same doubles as VectorizePairs
-// (bit for bit), but the result is a structure-of-arrays PairBatch and the
-// evaluation loop runs FEATURE-major within each executor chunk — features
-// with a batch kernel (the character-sequence measures) score a whole
-// chunk's worth of contiguous lanes per call through batch_kernel.h instead
-// of one pair at a time. VectorizePairs is a thin transpose over this.
+// (bit for bit), but the result is a structure-of-arrays PairBatch filled
+// by EvaluateFeatures once per executor chunk — features with a batch
+// kernel (the character-sequence measures) score a whole chunk's worth of
+// contiguous lanes per call through batch_kernel.h instead of one pair at
+// a time. VectorizePairs is a thin transpose over this.
 Result<PairBatch> VectorizePairsBatch(const Table& left, const Table& right,
                                       const CandidateSet& pairs,
                                       const FeatureSet& features,

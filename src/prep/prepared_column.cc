@@ -13,40 +13,43 @@ PreparedColumn::PreparedColumn(const std::vector<Value>& column,
                                TokenInterner* interner)
     : tokenized_(tokenizer != nullptr), interner_uid_(interner->uid()) {
   size_t n = column.size();
-  null_.resize(n, 0);
-  text_.resize(n);
-  token_offsets_.assign(n + 1, 0);
-  id_offsets_.assign(n + 1, 0);
+  null_.reserve(n);
+  text_.reserve(n);
+  token_offsets_.reserve(n + 1);
+  id_offsets_.reserve(n + 1);
+  token_offsets_.push_back(0);
+  id_offsets_.push_back(0);
+  for (const Value& v : column) Append(v, options, tokenizer, interner);
+}
 
-  std::vector<uint32_t> row_ids;
-  for (size_t r = 0; r < n; ++r) {
-    const Value& v = column[r];
-    if (v.is_null()) {
-      null_[r] = 1;
-    } else {
-      std::string s = v.AsString();
-      if (options.lowercase) s = AsciiToLower(s);
-      if (options.strip_punctuation) s = StripPunctuation(s);
-      text_[r] = std::move(s);
-      if (tokenizer != nullptr) {
-        std::vector<std::string> tokens = tokenizer->Tokenize(text_[r]);
-        row_ids.clear();
-        row_ids.reserve(tokens.size());
-        for (const std::string& t : tokens) {
-          row_ids.push_back(interner->Intern(t));
-        }
-        emit_ids_.insert(emit_ids_.end(), row_ids.begin(), row_ids.end());
-        // Sorted for the merge kernels; duplicates (non-unique tokenizers
-        // only) are preserved so the blockers' per-occurrence probe counts
-        // match the legacy string index exactly.
-        std::sort(row_ids.begin(), row_ids.end());
-        id_arena_.insert(id_arena_.end(), row_ids.begin(), row_ids.end());
-        for (std::string& t : tokens) token_store_.push_back(std::move(t));
+void PreparedColumn::Append(const Value& value, const PrepOptions& options,
+                            const Tokenizer* tokenizer,
+                            TokenInterner* interner) {
+  null_.push_back(value.is_null() ? 1 : 0);
+  text_.emplace_back();
+  if (!value.is_null()) {
+    std::string s = value.AsString();
+    if (options.lowercase) s = AsciiToLower(s);
+    if (options.strip_punctuation) s = StripPunctuation(s);
+    text_.back() = std::move(s);
+    if (tokenizer != nullptr) {
+      std::vector<std::string> tokens = tokenizer->Tokenize(text_.back());
+      size_t first = id_arena_.size();
+      id_arena_.resize(first + tokens.size());
+      for (size_t k = 0; k < tokens.size(); ++k) {
+        id_arena_[first + k] = interner->Intern(tokens[k]);
       }
+      emit_ids_.insert(emit_ids_.end(), id_arena_.begin() + first,
+                       id_arena_.end());
+      // Sorted for the merge kernels; duplicates (non-unique tokenizers
+      // only) are preserved so the blockers' per-occurrence probe counts
+      // match the legacy string index exactly.
+      std::sort(id_arena_.begin() + first, id_arena_.end());
+      for (std::string& t : tokens) token_store_.push_back(std::move(t));
     }
-    token_offsets_[r + 1] = static_cast<uint32_t>(token_store_.size());
-    id_offsets_[r + 1] = static_cast<uint32_t>(id_arena_.size());
   }
+  token_offsets_.push_back(static_cast<uint32_t>(token_store_.size()));
+  id_offsets_.push_back(static_cast<uint32_t>(id_arena_.size()));
 }
 
 std::shared_ptr<const PreparedColumn> PrepCache::Get(
@@ -65,14 +68,20 @@ std::shared_ptr<const PreparedColumn> PrepCache::Get(
   return prepared;
 }
 
-std::shared_ptr<const PreparedColumn> PrepCache::PrepUncached(
-    const std::vector<Value>& column, const PrepOptions& options,
-    const Tokenizer* tokenizer) {
+PreparedColumn PrepCache::PrepUncached(const std::vector<Value>& column,
+                                       const PrepOptions& options,
+                                       const Tokenizer* tokenizer) {
   // Builds under mu_ because the interner is not internally synchronized:
   // the cache mutex is the one lock every interning path takes.
   std::lock_guard<std::mutex> lock(mu_);
-  return std::make_shared<const PreparedColumn>(column, options, tokenizer,
-                                                &interner_);
+  return PreparedColumn(column, options, tokenizer, &interner_);
+}
+
+void PrepCache::AppendUncached(PreparedColumn* column, const Value& value,
+                               const PrepOptions& options,
+                               const Tokenizer* tokenizer) {
+  std::lock_guard<std::mutex> lock(mu_);
+  column->Append(value, options, tokenizer, &interner_);
 }
 
 std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {

@@ -37,7 +37,7 @@ struct PrepOptions {
 // from the owning PrepCache's interner, so spans from any two columns of
 // the same cache are directly comparable.
 //
-// Immutable after construction; safe to read from any number of threads.
+// Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
  public:
   // Preps every row of `column`. `tokenizer` may be null for text-only
@@ -45,6 +45,13 @@ class PreparedColumn {
   // column and is mutated (new tokens interned) during construction.
   PreparedColumn(const std::vector<Value>& column, const PrepOptions& options,
                  const Tokenizer* tokenizer, TokenInterner* interner);
+
+  // Preps one more row, exactly as the constructor preps each row.
+  // `options`, `tokenizer` (null or not) and `interner` must be the ones
+  // the column was built with. Appending may move storage that ids(),
+  // text() and tokens() returned, so no reader may run concurrently.
+  void Append(const Value& value, const PrepOptions& options,
+              const Tokenizer* tokenizer, TokenInterner* interner);
 
   size_t rows() const { return null_.size(); }
   bool is_null(size_t row) const { return null_[row] != 0; }
@@ -124,15 +131,20 @@ class PrepCache {
                                             const Tokenizer* tokenizer);
 
   // Builds a PreparedColumn sharing THIS cache's interner without entering
-  // it into the cache. For ephemeral columns — a serve-path query record,
-  // a delta-ingested corpus segment — whose storage address may be reused
-  // by a later, different column: caching them under an address key would
-  // let a recycled address alias a dead entry, so they are prepped fresh
-  // while still interning into the shared id universe (spans remain
-  // directly comparable with every cached column).
-  std::shared_ptr<const PreparedColumn> PrepUncached(
-      const std::vector<Value>& column, const PrepOptions& options,
-      const Tokenizer* tokenizer);
+  // it into the cache. For columns whose storage address may be reused by
+  // a later, different column — a serve-path query record, a corpus that
+  // grows by Insert: caching them under an address key would let a
+  // recycled address alias a dead entry, so they are prepped fresh while
+  // still interning into the shared id universe (spans remain directly
+  // comparable with every cached column).
+  PreparedColumn PrepUncached(const std::vector<Value>& column,
+                              const PrepOptions& options,
+                              const Tokenizer* tokenizer);
+
+  // PreparedColumn::Append through this cache's interner, for a column
+  // built by PrepUncached with the same options and tokenizer.
+  void AppendUncached(PreparedColumn* column, const Value& value,
+                      const PrepOptions& options, const Tokenizer* tokenizer);
 
   // Snapshot of id -> token string for every token interned so far. The
   // views point at interner storage, which is append-only and

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
-#include <limits>
 #include <mutex>
 
 #include "src/block/attr_equivalence_blocker.h"
@@ -18,6 +16,9 @@ namespace emx {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Lookups per latency ring: p50/p99 cover the most recent this many.
+constexpr size_t kLatencyWindow = 4096;
 
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
@@ -42,26 +43,14 @@ std::string SpecKey(const std::string& attr, const PrepOptions& opts,
 }  // namespace
 
 // One (attribute, normalization, tokenizer) family of resident corpus
-// segments: segments[0] covers rows [0, base_rows) (built at Create), then
-// one single-row segment per Insert, in insertion order — record id maps
-// to a segment without any lookaside table.
+// prep: one prepared column whose row r is record r, built at Create and
+// grown by one row per Insert.
 struct MatchService::CorpusPrep {
-  std::string attr;
   int col = -1;  // column index in the corpus schema
   PrepOptions opts;
   std::shared_ptr<Tokenizer> tokenizer;  // null → text-only prep
   std::string key;
-  std::vector<std::shared_ptr<const PreparedColumn>> segments;
-
-  const PreparedColumn& Segment(uint32_t record, size_t base_rows,
-                                size_t* row) const {
-    if (record < base_rows) {
-      *row = record;
-      return *segments[0];
-    }
-    *row = 0;
-    return *segments[1 + (record - base_rows)];
-  }
+  PreparedColumn column;
 };
 
 // Query-side prep descriptor: at each Lookup, one single-cell
@@ -78,7 +67,7 @@ struct MatchService::QuerySpec {
 // keep(query_tokens, record_tokens, overlap).
 struct MatchService::BlockPredicate {
   size_t min_left_tokens = 1;  // probe skipped below this query size
-  std::function<bool(size_t, size_t, size_t)> keep;
+  internal_block::OverlapKeepFn keep;
 };
 
 // One mutable blocking index plus every predicate that probes it — the
@@ -92,8 +81,9 @@ struct MatchService::IndexGroup {
 };
 
 struct MatchService::FeatureBinding {
-  int query_spec = -1;  // -1 → legacy per-pair Value fn
+  int query_spec = -1;  // -1 → the feature's Value fn
   int corpus_prep = -1;
+  int corpus_col = -1;  // the Value fn's corpus column
 };
 
 // One AE blocker: its query-side key and the resident index of its
@@ -105,10 +95,7 @@ struct MatchService::AeIndex {
 
 // Bounded ring of stage latencies; p50/p99 over the most recent window.
 struct MatchService::LatencyRing {
-  explicit LatencyRing(size_t capacity)
-      : samples(capacity > 0 ? capacity : 1, 0.0) {}
-
-  std::vector<double> samples;
+  std::vector<double> samples = std::vector<double>(kLatencyWindow, 0.0);
   size_t next = 0;
   uint64_t count = 0;
 
@@ -144,19 +131,17 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   std::unique_ptr<MatchService> svc(new MatchService());
   svc->corpus_ = corpus;
   svc->live_.assign(corpus.num_rows(), 1);
-  svc->base_rows_ = corpus.num_rows();
-  svc->options_ = options;
   svc->positive_rules_ = workflow.positive_rules();
   svc->negative_rules_ = workflow.negative_rules();
   svc->matcher_ = workflow.matcher();
   svc->features_ = workflow.features();
   svc->imputer_ = workflow.imputer();
   svc->prep_cache_ = std::make_shared<PrepCache>();
-  svc->lat_block_ = std::make_unique<LatencyRing>(options.latency_window);
-  svc->lat_vectorize_ = std::make_unique<LatencyRing>(options.latency_window);
-  svc->lat_score_ = std::make_unique<LatencyRing>(options.latency_window);
-  svc->lat_rules_ = std::make_unique<LatencyRing>(options.latency_window);
-  svc->lat_total_ = std::make_unique<LatencyRing>(options.latency_window);
+  svc->lat_block_ = std::make_unique<LatencyRing>();
+  svc->lat_vectorize_ = std::make_unique<LatencyRing>();
+  svc->lat_score_ = std::make_unique<LatencyRing>();
+  svc->lat_rules_ = std::make_unique<LatencyRing>();
+  svc->lat_total_ = std::make_unique<LatencyRing>();
 
   // Interned spec registries: one resident corpus prep / query descriptor
   // per distinct (attr, normalization, tokenizer) across features AND
@@ -186,17 +171,11 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
       return Status::InvalidArgument("MatchService: corpus has no column '" +
                                      attr + "'");
     }
-    auto prep = std::make_unique<CorpusPrep>();
-    prep->attr = attr;
-    prep->col = col;
-    prep->opts = opts;
-    prep->tokenizer = std::move(tok);
-    prep->key = std::move(key);
-    prep->segments.push_back(svc->prep_cache_->PrepUncached(
-        svc->corpus_.column(static_cast<size_t>(col)), opts,
-        prep->tokenizer.get()));
+    PreparedColumn column = svc->prep_cache_->PrepUncached(
+        svc->corpus_.column(static_cast<size_t>(col)), opts, tok.get());
     svc->corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
-    svc->corpus_preps_.push_back(std::move(prep));
+    svc->corpus_preps_.push_back(std::make_unique<CorpusPrep>(CorpusPrep{
+        col, opts, std::move(tok), std::move(key), std::move(column)}));
     return static_cast<int>(svc->corpus_preps_.size() - 1);
   };
 
@@ -225,35 +204,18 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
       }
       continue;
     }
-    const OverlapBlockerOptions* bopts = nullptr;
-    std::shared_ptr<Tokenizer> tok;
-    BlockPredicate pred;
-    if (const auto* ob = dynamic_cast<const OverlapBlocker*>(b.get())) {
-      bopts = &ob->options();
-      tok = ob->tokenizer();
-      size_t k = ob->min_overlap();
-      pred.min_left_tokens = k;
-      pred.keep = [k](size_t, size_t, size_t overlap) { return overlap >= k; };
-    } else if (const auto* cb =
-                   dynamic_cast<const OverlapCoefficientBlocker*>(b.get())) {
-      bopts = &cb->options();
-      tok = cb->tokenizer();
-      double t = cb->threshold();
-      pred.min_left_tokens = 1;
-      pred.keep = [t](size_t la, size_t lb, size_t overlap) {
-        size_t mn = std::min(la, lb);
-        if (mn == 0) return false;
-        return static_cast<double>(overlap) >= t * static_cast<double>(mn);
-      };
-    } else {
+    const auto* tb = dynamic_cast<const TokenOverlapBlocker*>(b.get());
+    if (tb == nullptr) {
       return Status::InvalidArgument(
           "MatchService: blocker '" + b->name() +
           "' is neither a token-overlap nor an attribute-equivalence "
           "blocker, so no index can answer it");
     }
-    PrepOptions po = internal_block::ToPrepOptions(*bopts);
-    int qs = add_query_spec(bopts->left_attr, po, tok);
-    EMX_ASSIGN_OR_RETURN(int cp, add_corpus_prep(bopts->right_attr, po, tok));
+    const OverlapBlockerOptions& bopts = tb->options();
+    PrepOptions po = internal_block::ToPrepOptions(bopts);
+    int qs = add_query_spec(bopts.left_attr, po, tb->tokenizer());
+    EMX_ASSIGN_OR_RETURN(
+        int cp, add_corpus_prep(bopts.right_attr, po, tb->tokenizer()));
     IndexGroup* group = nullptr;
     for (auto& g : svc->index_groups_) {
       if (g->query_spec == qs && g->corpus_prep == cp) {
@@ -268,31 +230,34 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
       group = owned.get();
       svc->index_groups_.push_back(std::move(owned));
     }
-    group->preds.push_back(std::move(pred));
+    group->preds.push_back({tb->min_left_tokens(), tb->keep()});
   }
 
-  // Features → bindings (prep specs identical to BindFeatures in the batch
-  // vectorizer: lowercase from the spec, never punctuation stripping).
+  // Features → bindings, prepped as the batch vectorizer preps them.
   for (const Feature& f : svc->features_.features) {
     FeatureBinding binding;
     if (f.has_prep()) {
-      std::shared_ptr<Tokenizer> tok = TokenizerForSpec(f.prep);
-      PrepOptions po{f.prep.lowercase, /*strip_punctuation=*/false};
-      binding.query_spec = add_query_spec(f.left_attr, po, tok);
-      EMX_ASSIGN_OR_RETURN(binding.corpus_prep,
-                           add_corpus_prep(f.right_attr, po, tok));
-    } else if (svc->corpus_.schema().IndexOf(f.right_attr) < 0) {
-      return Status::InvalidArgument("MatchService: corpus has no column '" +
-                                     f.right_attr + "' (feature " + f.name +
-                                     ")");
+      FeaturePrep prep = PrepForFeature(f.prep);
+      binding.query_spec =
+          add_query_spec(f.left_attr, prep.options, prep.tokenizer);
+      EMX_ASSIGN_OR_RETURN(
+          binding.corpus_prep,
+          add_corpus_prep(f.right_attr, prep.options, prep.tokenizer));
+    } else {
+      binding.corpus_col = svc->corpus_.schema().IndexOf(f.right_attr);
+      if (binding.corpus_col < 0) {
+        return Status::InvalidArgument("MatchService: corpus has no column '" +
+                                       f.right_attr + "' (feature " + f.name +
+                                       ")");
+      }
     }
     svc->bindings_.push_back(binding);
   }
 
-  // Bulk-load each blocking index from its base segment, snapshot once,
+  // Bulk-load each blocking index from its prepared column, snapshot once,
   // then arm the serving compaction threshold.
   for (auto& g : svc->index_groups_) {
-    const PreparedColumn& base = *svc->corpus_preps_[g->corpus_prep]->segments[0];
+    const PreparedColumn& base = svc->corpus_preps_[g->corpus_prep]->column;
     for (size_t r = 0; r < base.rows(); ++r) g->index.Add(base.ids(r));
     g->index.Compact();
     g->index.set_compact_threshold(options.compact_threshold);
@@ -356,23 +321,21 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
     EMX_RETURN_IF_ERROR(query.ColumnByName(ae.query.attr).status());
   }
   std::vector<uint32_t> blocked = AeHits(query, query_row);
-  std::vector<std::shared_ptr<const PreparedColumn>> qpreps(
-      query_specs_.size());
-  for (size_t i = 0; i < query_specs_.size(); ++i) {
-    const QuerySpec& spec = *query_specs_[i];
+  std::vector<PreparedColumn> qpreps;
+  qpreps.reserve(query_specs_.size());
+  for (const auto& spec : query_specs_) {
     EMX_ASSIGN_OR_RETURN(const std::vector<Value>* col,
-                         query.ColumnByName(spec.attr));
+                         query.ColumnByName(spec->attr));
     std::vector<Value> cell{(*col)[query_row]};
-    qpreps[i] =
-        prep_cache_->PrepUncached(cell, spec.opts, spec.tokenizer.get());
+    qpreps.push_back(
+        prep_cache_->PrepUncached(cell, spec->opts, spec->tokenizer.get()));
     query_prep_builds_.fetch_add(1, std::memory_order_relaxed);
   }
 
   {
     thread_local DeltaTokenIndex::ProbeScratch scratch;
     for (const auto& g : index_groups_) {
-      const PreparedColumn& q = *qpreps[g->query_spec];
-      IdSpan qids = q.ids(0);
+      IdSpan qids = qpreps[g->query_spec].ids(0);
       std::vector<const BlockPredicate*> eligible;
       eligible.reserve(g->preds.size());
       for (const BlockPredicate& p : g->preds) {
@@ -405,60 +368,35 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
                       sure.end(), std::back_inserter(ml_records));
   double block_us = MicrosSince(t0);
 
-  // Stage: vectorize — fill the PairBatch feature-major, exactly the batch
-  // vectorizer's evaluation order per feature (batch kernel over gathered
-  // non-null lanes, else prepared per-pair fn, else legacy Value fn).
+  // Stage: vectorize — the batch vectorizer's EvaluateFeatures over
+  // (query, record) pairs; the query's prepared columns and cells are row 0.
   t0 = Clock::now();
   size_t n = ml_records.size();
   size_t width = features_.features.size();
   PairBatch batch(matcher_ != nullptr ? n : 0, width);
   batch.feature_names = features_.names();
   if (matcher_ != nullptr && n > 0) {
-    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-    thread_local std::vector<std::string_view> ga, gb;
-    thread_local std::vector<double> gscores;
-    thread_local std::vector<uint32_t> lanes;
+    std::vector<std::vector<Value>> query_cells(width);
+    std::vector<FeatureInputs> inputs(width);
     for (size_t fi = 0; fi < width; ++fi) {
-      const Feature& f = features_.features[fi];
       const FeatureBinding& b = bindings_[fi];
-      double* col = batch.Column(fi);
-      if (b.query_spec >= 0 && f.has_batch()) {
-        const PreparedColumn& q = *qpreps[b.query_spec];
-        const CorpusPrep& cp = *corpus_preps_[b.corpus_prep];
-        ga.clear();
-        gb.clear();
-        lanes.clear();
-        for (size_t i = 0; i < n; ++i) {
-          size_t row = 0;
-          const PreparedColumn& seg = cp.Segment(ml_records[i], base_rows_,
-                                                 &row);
-          if (q.is_null(0) || seg.is_null(row)) {
-            col[i] = kNaN;
-          } else {
-            lanes.push_back(static_cast<uint32_t>(i));
-            ga.push_back(q.text(0));
-            gb.push_back(seg.text(row));
-          }
-        }
-        gscores.resize(ga.size());
-        f.batch_fn(ga.data(), gb.data(), ga.size(), gscores.data());
-        for (size_t k = 0; k < lanes.size(); ++k) col[lanes[k]] = gscores[k];
-      } else if (b.query_spec >= 0) {
-        const PreparedColumn& q = *qpreps[b.query_spec];
-        const CorpusPrep& cp = *corpus_preps_[b.corpus_prep];
-        for (size_t i = 0; i < n; ++i) {
-          size_t row = 0;
-          const PreparedColumn& seg = cp.Segment(ml_records[i], base_rows_,
-                                                 &row);
-          col[i] = f.prep_fn(q, 0, seg, row);
-        }
-      } else {
-        const Value& lv = query.at(query_row, f.left_attr);
-        for (size_t i = 0; i < n; ++i) {
-          col[i] = f.fn(lv, corpus_.at(ml_records[i], f.right_attr));
-        }
+      if (b.query_spec >= 0) {
+        inputs[fi].left_prep = &qpreps[b.query_spec];
+        inputs[fi].right_prep = &corpus_preps_[b.corpus_prep]->column;
+        continue;
       }
+      // As in batch, a query without the feature's column is NotFound.
+      EMX_ASSIGN_OR_RETURN(
+          const std::vector<Value>* col,
+          query.ColumnByName(features_.features[fi].left_attr));
+      query_cells[fi].push_back((*col)[query_row]);
+      inputs[fi].left = &query_cells[fi];
+      inputs[fi].right = &corpus_.column(static_cast<size_t>(b.corpus_col));
     }
+    std::vector<RecordPair> pairs;
+    pairs.reserve(n);
+    for (uint32_t r : ml_records) pairs.push_back({0, r});
+    EvaluateFeatures(features_, inputs, pairs, 0, n, &batch);
     EMX_RETURN_IF_ERROR(imputer_.Transform(batch));
   }
   double vectorize_us = MicrosSince(t0);
@@ -526,19 +464,16 @@ Result<uint32_t> MatchService::Insert(std::vector<Value> row) {
   EMX_RETURN_IF_ERROR(corpus_.AppendRow(std::move(row)));
   uint32_t record = static_cast<uint32_t>(corpus_.num_rows() - 1);
   live_.push_back(1);
-  // One single-row segment per prep family — the inserted record is
+  // One appended row per prep family — the inserted record is
   // normalized/tokenized exactly once per spec, never the whole column.
   for (auto& cp : corpus_preps_) {
-    std::vector<Value> cell{corpus_.at(record, static_cast<size_t>(cp->col))};
-    cp->segments.push_back(
-        prep_cache_->PrepUncached(cell, cp->opts, cp->tokenizer.get()));
+    prep_cache_->AppendUncached(
+        &cp->column, corpus_.at(record, static_cast<size_t>(cp->col)),
+        cp->opts, cp->tokenizer.get());
     corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
   }
   for (auto& g : index_groups_) {
-    size_t seg_row = 0;
-    const PreparedColumn& seg =
-        corpus_preps_[g->corpus_prep]->Segment(record, base_rows_, &seg_row);
-    g->index.Add(seg.ids(seg_row));
+    g->index.Add(corpus_preps_[g->corpus_prep]->column.ids(record));
   }
   for (AeIndex& ae : ae_indexes_) {
     ae.corpus.Add(record, corpus_.at(record, ae.corpus.column().attr));

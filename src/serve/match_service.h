@@ -27,8 +27,6 @@ struct MatchServiceOptions {
   // Delta + tombstoned postings tolerated per blocking index before it
   // folds them back into its CSR snapshot.
   size_t compact_threshold = 4096;
-  // Per-stage latency ring size (most recent N lookups feed p50/p99).
-  size_t latency_window = 4096;
 };
 
 // One ranked answer of a point lookup.
@@ -56,9 +54,10 @@ struct MatchServiceStats {
   uint64_t lookups = 0;
   uint64_t inserts = 0;
   uint64_t removes = 0;
-  // Prepared-column build passes over CORPUS data (base columns at Create,
-  // one single-row segment per prep spec per Insert). Lookups must never
-  // move this counter — the "zero re-prep work" regression contract.
+  // Prepared-column build passes over CORPUS data (one per prep family at
+  // Create, plus one appended row per prep family per Insert). Lookups
+  // must never move this counter — the "zero re-prep work" regression
+  // contract.
   uint64_t corpus_preps = 0;
   // Single-row preps of incoming query records (inherent per-lookup work).
   uint64_t query_preps = 0;
@@ -87,24 +86,23 @@ struct MatchServiceStats {
 // results BIT-IDENTICAL to running the batch workflow over (query-table,
 // corpus) and restricting to that query row: same candidate records (the
 // delta index replays each blocker's keep predicate over identical token
-// multisets), same feature doubles (per-pair evaluation over prepared
-// segments is the documented bit-equal twin of the batch vectorizer), same
+// multisets), same feature doubles (both run EvaluateFeatures), same
 // probabilities, same rule flips. match_service_test asserts this for
 // every record of the case-study and SF=10 corpora.
 //
 // Insert/Remove mutate the corpus incrementally: Insert appends the row,
-// preps ONLY that row (one single-row segment per prep spec — never a
-// column re-prep), pushes its postings into each token index's delta lists
-// and adds its keys to the key indexes; Remove tombstones it and drops its
-// keys. Each token index folds deltas+tombstones into its CSR snapshot
-// when they exceed options.compact_threshold; probe results are identical
-// at every compaction state (delta_index_property_test fuzzes this
-// invariant).
+// preps ONLY that row (one row appended to each prep family's resident
+// column — never a column re-prep), pushes its postings into each token
+// index's delta lists and adds its keys to the key indexes; Remove
+// tombstones it and drops its keys. Each token index folds
+// deltas+tombstones into its snapshot when they exceed
+// options.compact_threshold; probe results are identical at every
+// compaction state (delta_index_property_test fuzzes this invariant).
 //
 // Ownership keeps prep work resident: the service holds its OWN PrepCache
 // (never shared with a PipelineRunner, whose per-run Clear() would drop
-// prepped state mid-service — see DESIGN.md §12) and direct shared_ptrs to
-// every corpus segment, so even an unrelated in-process batch run that
+// prepped state mid-service — see DESIGN.md §12) and its own corpus
+// prepared columns, so even an unrelated in-process batch run that
 // flushes the global Monge-Elkan memo generation costs the service only
 // warm-up, never correctness or re-prep.
 //
@@ -114,14 +112,14 @@ struct MatchServiceStats {
 class MatchService {
  public:
   // Packages `workflow` + `corpus` (the right-hand table) into a service.
-  // Every registered blocker must be an OverlapBlocker or
-  // OverlapCoefficientBlocker (answered by a delta token index) or an
-  // AttrEquivalenceBlocker (answered by a key index); anything else, such
-  // as a RuleBlocker, is InvalidArgument. Every lookup scans the live
-  // corpus for the positive rules, keyed or not; Create logs each one. The
-  // matcher is optional (a rules-only workflow serves rule matches). A
-  // lookup runs wholly on its calling thread (ServeLoop runs lookups in
-  // parallel on its own executor), so `ctx` goes unused.
+  // Every registered blocker must be a TokenOverlapBlocker (answered by a
+  // delta token index) or an AttrEquivalenceBlocker (answered by a key
+  // index); anything else, such as a RuleBlocker, is InvalidArgument.
+  // Every lookup scans the live corpus for the positive rules, keyed or
+  // not; Create logs each one. The matcher is optional (a rules-only
+  // workflow serves rule matches). A lookup runs wholly on its calling
+  // thread (ServeLoop runs lookups in parallel on its own executor), so
+  // `ctx` goes unused.
   static Result<std::unique_ptr<MatchService>> Create(
       const EmWorkflow& workflow, const Table& corpus,
       MatchServiceOptions options = {}, const ExecutorContext& ctx = {});
@@ -134,7 +132,8 @@ class MatchService {
   Result<LookupResult> Lookup(const Table& query, size_t query_row) const;
 
   // Appends a record (values in corpus schema order) and returns its
-  // record id. O(row tokens), not O(corpus).
+  // record id. Amortized O(row tokens), not O(corpus): an append that
+  // outgrows a resident prepared column's storage moves that column.
   Result<uint32_t> Insert(std::vector<Value> row);
 
   // Tombstones a record; subsequent lookups never return it. NotFound for
@@ -172,13 +171,9 @@ class MatchService {
   // Live records some AE blocker pairs with the query row, ascending and
   // unique.
   std::vector<uint32_t> AeHits(const Table& query, size_t query_row) const;
-  Status BlockCandidates(const Table& query, size_t query_row,
-                         std::vector<uint32_t>* out) const;
 
   Table corpus_;
   std::vector<uint8_t> live_;
-  size_t base_rows_ = 0;  // rows prepped as segment 0 at Create
-  MatchServiceOptions options_;
 
   // Workflow pieces (owned copies / shared ownership).
   std::vector<MatchRule> positive_rules_;

@@ -170,6 +170,13 @@ JsonValue MakeResponse(const JsonValue& id, Result<JsonValue> body) {
   return resp;
 }
 
+// Lookups and stats change nothing, so a run of them may run in any order.
+bool IsReadOnly(const JsonValue& request) {
+  const JsonValue* op = request.Find("op");
+  return op != nullptr && op->is_string() &&
+         (op->string_value() == "lookup" || op->string_value() == "stats");
+}
+
 }  // namespace
 
 JsonValue HandleServeRequest(MatchService& service, const JsonValue& request) {
@@ -249,19 +256,26 @@ void ServeLoop::DrainLoop() {
         queue_.pop_front();
       }
     }
-    // Process the whole batch on the executor (concurrent shared-lock
-    // lookups), then write responses in batch order — deterministic output
+    // Apply requests in arrival order: each maximal run of read-only
+    // requests runs on the executor (concurrent shared-lock lookups), and
+    // every other request runs alone, so a lookup queued after an insert
+    // sees it. Responses are written in batch order — deterministic output
     // for a deterministic input sequence.
     responses.assign(batch.size(), std::string());
-    exec_ctx_.get().ParallelFor(0, batch.size(), /*grain=*/1,
-                                [&](size_t lo, size_t hi) {
-                                  for (size_t i = lo; i < hi; ++i) {
-                                    responses[i] =
-                                        HandleServeRequest(*service_,
-                                                           batch[i].body)
-                                            .Dump();
-                                  }
-                                });
+    for (size_t lo = 0; lo < batch.size();) {
+      size_t hi = lo + 1;
+      if (IsReadOnly(batch[lo].body)) {
+        while (hi < batch.size() && IsReadOnly(batch[hi].body)) ++hi;
+      }
+      exec_ctx_.get().ParallelFor(
+          lo, hi, /*grain=*/1, [&](size_t a, size_t b) {
+            for (size_t i = a; i < b; ++i) {
+              responses[i] =
+                  HandleServeRequest(*service_, batch[i].body).Dump();
+            }
+          });
+      lo = hi;
+    }
     for (const std::string& r : responses) WriteResponse(r);
     counters_.processed.fetch_add(batch.size(), std::memory_order_relaxed);
   }

@@ -26,7 +26,7 @@ struct ServeOptions {
   // silently dropped, never blocking the reader).
   size_t queue_capacity = 128;
   // Max requests drained into one processing batch — also the max
-  // in-flight concurrency (batch requests run on the executor together).
+  // in-flight concurrency (a batch's read-only runs go to the executor).
   size_t batch_max = 16;
 };
 
@@ -59,11 +59,12 @@ struct ServeCounters {
 //   {"id":9,"ok":false,"error":"Unavailable","message":"..."}   (shed)
 //
 // Threading: Submit (the reader side) parses and either enqueues or sheds;
-// a single drain thread pops batches of up to batch_max and processes them
-// on the executor (lookups within a batch run concurrently under the
-// service's shared lock), writing responses in batch order. Stop() drains
-// everything already admitted before joining — an admitted request is
-// always answered.
+// a single drain thread pops batches of up to batch_max and applies them in
+// arrival order: each run of consecutive lookup/stats requests runs
+// concurrently on the executor (under the service's shared lock), and
+// every other request runs alone. Responses are written in batch order.
+// Stop() drains everything already admitted before joining — an admitted
+// request is always answered.
 //
 // Failpoint: every request handler passes "serve/handle"; arming it with
 // mode=block stalls the drain batch deterministically (the admission tests

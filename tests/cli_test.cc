@@ -100,6 +100,40 @@ TEST(CliTest, BlockRejectsUnknownMethod) {
   EXPECT_NE(r.err.find("unknown --method"), std::string::npos);
 }
 
+// A numeric flag must parse whole and in range: one malformed value per
+// parse kind (unsigned, double, seed) fails with an error naming the flag,
+// as do a non-numeric compaction threshold (0 would turn compaction off)
+// and a thread count with trailing junk.
+TEST(CliTest, MalformedNumericFlagsFailNamingTheFlag) {
+  std::string left = WriteTemp("nl.csv", kLeftCsv);
+  std::string right = WriteTemp("nr.csv", kRightCsv);
+  std::string out_left = ::testing::TempDir() + "/emx_cli_nl_out.csv";
+  std::string out_right = ::testing::TempDir() + "/emx_cli_nr_out.csv";
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+  };
+  std::vector<Case> cases = {
+      {{"block", left, right, "--left-attr=City", "--k=abc"}, "--k"},
+      {{"block", left, right, "--left-attr=City", "--method=coeff",
+        "--threshold=0.7x"},
+       "--threshold"},
+      {{"datagen", "--sf=0.01", "--seed=-1", "--out-left=" + out_left,
+        "--out-right=" + out_right},
+       "--seed"},
+      {{"serve", left, right, "--compact-threshold=abc"},
+       "--compact-threshold"},
+      {{"block", left, right, "--method=ae", "--left-attr=City",
+        "--threads=4x"},
+       "--threads"},
+  };
+  for (const Case& c : cases) {
+    CliResult r = RunEmx(c.args);
+    EXPECT_EQ(r.code, 1) << c.flag;
+    EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+  }
+}
+
 TEST(CliTest, MatchEndToEnd) {
   std::string left = WriteTemp("ml.csv", kLeftCsv);
   std::string right = WriteTemp("mr.csv", kRightCsv);

@@ -667,6 +667,39 @@ TEST(MatchServiceLookupTest, MissingQueryColumnIsError) {
   Table titles_only = *ReadCsvString("AwardTitle\nmaize genome study\n");
   EXPECT_EQ((*fig10)->Lookup(titles_only, 0).status().code(),
             StatusCode::kNotFound);
+
+  // Without a Value-fn feature's column, the matcher's input fails to
+  // vectorize as in batch (NotFound), instead of scoring a null.
+  EmWorkflow numeric;
+  OverlapBlockerOptions opts;
+  opts.left_attr = "AwardTitle";
+  opts.right_attr = "AwardTitle";
+  numeric.AddBlocker(std::make_shared<OverlapBlocker>(opts, 3));
+  FeatureSet features;
+  features.features.push_back(MakeAbsDiffFeature("StartYear", "StartYear"));
+  Dataset d;
+  d.feature_names = features.names();
+  d.x = {{0.0}, {9.0}};
+  d.y = {1, 0};
+  FeatureMatrix m;
+  m.feature_names = d.feature_names;
+  m.rows = d.x;
+  MeanImputer imputer;
+  imputer.Fit(m);
+  auto tree = std::make_shared<DecisionTreeMatcher>();
+  ASSERT_TRUE(tree->Fit(d).ok());
+  numeric.SetMatcher(std::move(tree), features, std::move(imputer));
+  auto svc_numeric = MatchService::Create(numeric, small->right);
+  ASSERT_TRUE(svc_numeric.ok()) << svc_numeric.status().ToString();
+  Table no_year(Schema({{"AwardTitle", DataType::kString}}));
+  ASSERT_TRUE(no_year.AppendRow({small->right.at(0, "AwardTitle")}).ok());
+  EXPECT_EQ(VectorizePairsBatch(no_year, small->right,
+                                CandidateSet({{0, 0}}), features)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*svc_numeric)->Lookup(no_year, 0).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

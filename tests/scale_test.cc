@@ -159,10 +159,14 @@ TEST(PartitionPlanTest, DeterministicForGivenShape) {
 
 // --- partitioned == monolithic ----------------------------------------------
 
+// Both title columns, prepped and as the legacy string tokens the
+// string-keyed oracle joins.
 struct Prepped {
   std::shared_ptr<PrepCache> cache;
   std::shared_ptr<const PreparedColumn> left;
   std::shared_ptr<const PreparedColumn> right;
+  std::vector<std::vector<std::string>> left_tokens;
+  std::vector<std::vector<std::string>> right_tokens;
 };
 
 Prepped PrepTitles(const Table& left, const Table& right) {
@@ -175,18 +179,23 @@ Prepped PrepTitles(const Table& left, const Table& right) {
   PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/true};
   out.left = out.cache->Get(**lcol, opts, &tok);
   out.right = out.cache->Get(**rcol, opts, &tok);
+  OverlapBlockerOptions legacy;
+  legacy.lowercase = true;
+  legacy.strip_punctuation = true;
+  out.left_tokens = internal_block::TokenizeColumn(**lcol, legacy, tok);
+  out.right_tokens = internal_block::TokenizeColumn(**rcol, legacy, tok);
   return out;
 }
 
 // Sweeps the partitioned engine over budgets x thread counts and demands
-// bit-identical output to the monolithic oracle under `keep`.
+// bit-identical output to the string-keyed oracle under `keep`.
 void ExpectPartitionedMatchesMonolithic(const Prepped& p,
                                         const internal_block::OverlapKeepFn& keep,
                                         size_t min_left_tokens) {
   Executor pool1(1);
   ExecutorContext ctx1{&pool1};
-  CandidateSet oracle =
-      internal_block::OverlapJoinIds(*p.left, *p.right, keep, ctx1);
+  CandidateSet oracle = internal_block::OverlapJoinStrings(
+      p.left_tokens, p.right_tokens, keep, ctx1);
 
   // Budget 1B degrades to the min-rows floor (many small partitions);
   // 300KB yields a few mid-sized ones; 0 is the single-partition layout.

@@ -13,6 +13,7 @@
 
 #include "gtest/gtest.h"
 #include "src/block/overlap_blocker.h"
+#include "src/block/partitioned_blocker.h"
 #include "src/block/similarity_join.h"
 #include "src/core/executor.h"
 #include "src/feature/feature_gen.h"
@@ -196,6 +197,55 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
   }
 }
 
+// A column grown one row at a time through AppendUncached equals the bulk
+// build row for row, under whitespace, q-gram (duplicate ids) and
+// text-only prep, and shares its ids with a cached column of the cache.
+TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
+  Table t = RandomTable(200, 12);
+  std::vector<Value> col = {Value::Null(), Value(std::string()),
+                            Value("alpha alpha alpha beta")};
+  const std::vector<Value>* title = *t.ColumnByName("title");
+  col.insert(col.end(), title->begin(), title->end());
+  auto ids_of = [](IdSpan s) {
+    return std::vector<uint32_t>(s.begin(), s.end());
+  };
+  PrepCache cache;
+  WhitespaceTokenizer ws;
+  QgramTokenizer q3(3);
+  struct Config {
+    PrepOptions opts;
+    const Tokenizer* tokenizer;
+  };
+  for (const Config& c :
+       {Config{{true, true}, &ws}, Config{{false, false}, &q3},
+        Config{{true, false}, nullptr}}) {
+    PreparedColumn bulk = cache.PrepUncached(col, c.opts, c.tokenizer);
+    PreparedColumn grown = cache.PrepUncached({}, c.opts, c.tokenizer);
+    for (const Value& v : col) {
+      cache.AppendUncached(&grown, v, c.opts, c.tokenizer);
+    }
+    auto cached = cache.Get(col, c.opts, c.tokenizer);
+    ASSERT_EQ(grown.rows(), bulk.rows());
+    for (size_t r = 0; r < bulk.rows(); ++r) {
+      EXPECT_EQ(grown.is_null(r), bulk.is_null(r)) << "row " << r;
+      EXPECT_EQ(grown.text(r), bulk.text(r)) << "row " << r;
+      EXPECT_EQ(ids_of(grown.ids(r)), ids_of(bulk.ids(r))) << "row " << r;
+      EXPECT_EQ(ids_of(grown.ids(r)), ids_of(cached->ids(r))) << "row " << r;
+      size_t ng = 0, nb = 0;
+      const std::string* tg = grown.tokens(r, &ng);
+      const std::string* tb = bulk.tokens(r, &nb);
+      EXPECT_EQ(std::vector<std::string>(tg, tg + ng),
+                std::vector<std::string>(tb, tb + nb))
+          << "row " << r;
+      const uint32_t* eg = grown.emission_ids(r, &ng);
+      const uint32_t* eb = bulk.emission_ids(r, &nb);
+      EXPECT_EQ(std::vector<uint32_t>(eg, eg + ng),
+                std::vector<uint32_t>(eb, eb + nb))
+          << "row " << r;
+    }
+  }
+}
+
 TEST(PrepCacheTest, DeduplicatesByColumnAndConfig) {
   Table t = RandomTable(50, 3);
   const std::vector<Value>* title = *t.ColumnByName("title");
@@ -244,7 +294,9 @@ TEST(OverlapJoinTest, IdJoinMatchesStringJoinAt128Threads) {
     ExecutorContext ctx{&pool};
     CandidateSet legacy =
         internal_block::OverlapJoinStrings(lt, rt, keep, ctx);
-    CandidateSet ids = internal_block::OverlapJoinIds(*lp, *rp, keep, ctx);
+    CandidateSet ids = internal_block::PartitionedOverlapJoin(
+        *lp, *rp, keep, /*min_left_tokens=*/1, internal_block::BlockBudget{},
+        ctx);
     EXPECT_TRUE(legacy == ids) << "threads=" << threads << " legacy="
                                << legacy.size() << " ids=" << ids.size();
     EXPECT_GT(ids.size(), 0u);  // corpus guarantees some overlap
