@@ -10,9 +10,9 @@
 //                                    pointer-walk vs flat vs columnar batch
 //                                    inference; writes BENCH_forest.json
 //   bench_matchers --smoke BASELINE  small deterministic fixture; writes
-//                                    BENCH_forest.json, compares the
-//                                    measured flat-vs-treewalk speedup
-//                                    against "speedup_flat_vs_treewalk" in
+//                                    no file, compares the measured
+//                                    flat-vs-treewalk speedup against
+//                                    "speedup_flat_vs_treewalk" in
 //                                    BASELINE and exits 1 when flat
 //                                    inference has regressed more than 2x
 //                                    vs it
@@ -198,13 +198,13 @@ ForestMeasurement MeasureForest(const RandomForestMatcher& forest,
   return m;
 }
 
-int WriteForestJson(const ForestMeasurement& m, const char* fixture) {
+int WriteForestJson(const ForestMeasurement& m) {
   std::FILE* f = std::fopen("BENCH_forest.json", "w");
   if (!f) return 1;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"fixture\": \"%s\",\n", fixture);
+  std::fprintf(f, "  \"fixture\": \"case_study\",\n");
   std::fprintf(f, "  \"rows\": %zu,\n", m.rows);
   std::fprintf(f, "  \"trees\": %zu,\n", m.trees);
   std::fprintf(f, "  \"flat_nodes\": %zu,\n", m.nodes);
@@ -250,7 +250,7 @@ int RunForest() {
   if (!forest.Fit(f.train).ok()) return 1;
   ForestMeasurement m = MeasureForest(forest, f.predict_rows, /*reps=*/20);
   PrintForest(m);
-  return WriteForestJson(m, "case_study");
+  return WriteForestJson(m);
 }
 
 // Extracts "key": <number> from a JSON file with a text scan (no JSON dep).
@@ -321,10 +321,10 @@ int RunSmoke(const char* baseline_path) {
                  "smoke: FAIL — flat-vs-treewalk speedup %.2fx fell below "
                  "half the baseline %.2fx (flat inference regressed >2x)\n",
                  measured, baseline);
-    return (void)WriteForestJson(m, "smoke"), 1;
+    return 1;
   }
   std::printf("smoke: OK\n");
-  return WriteForestJson(m, "smoke");
+  return 0;
 }
 
 }  // namespace

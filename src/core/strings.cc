@@ -9,10 +9,14 @@ namespace emx {
 
 std::string AsciiToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
+  AsciiToLowerInPlace(&out);
+  return out;
+}
+
+void AsciiToLowerInPlace(std::string* s) {
+  for (char& c : *s) {
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
-  return out;
 }
 
 std::string AsciiToUpper(std::string_view s) {
@@ -66,12 +70,16 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string StripPunctuation(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
+  StripPunctuationInPlace(&out);
+  return out;
+}
+
+void StripPunctuationInPlace(std::string* s) {
+  for (char& c : *s) {
     bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                 (c >= '0' && c <= '9') || c == ' ';
     if (!keep) c = ' ';
   }
-  return out;
 }
 
 bool IsAllDigits(std::string_view s) {

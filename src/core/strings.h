@@ -13,6 +13,7 @@ namespace emx {
 
 // Lowercases ASCII letters.
 std::string AsciiToLower(std::string_view s);
+void AsciiToLowerInPlace(std::string* s);
 
 // Uppercases ASCII letters.
 std::string AsciiToUpper(std::string_view s);
@@ -32,6 +33,7 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // Replaces every character not in [A-Za-z0-9 ] with a space. This is the
 // "remove special characters" normalization of Section 7 of the paper.
 std::string StripPunctuation(std::string_view s);
+void StripPunctuationInPlace(std::string* s);
 
 // True if `s` consists only of ASCII digits (and is non-empty).
 bool IsAllDigits(std::string_view s);

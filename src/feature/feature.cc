@@ -261,7 +261,7 @@ Feature MakeOverlapCoefficientFeature(const std::string& left_attr,
 Feature MakeMongeElkanFeature(const std::string& left_attr,
                               const std::string& right_attr, bool lowercase) {
   // Monge-Elkan needs the token STRINGS (it runs Jaro-Winkler between
-  // tokens), so its prepared path reads the column's token arrays — kept in
+  // tokens), so its prepared path reads the column's token views — kept in
   // tokenizer-emission order, which preserves the legacy summation order.
   Feature f;
   f.name = FeatName(left_attr, "mel", lowercase);
@@ -280,8 +280,8 @@ Feature MakeMongeElkanFeature(const std::string& left_attr,
                  size_t j) -> double {
     if (lc.is_null(i) || rc.is_null(j)) return kNaN;
     size_t na = 0, nb = 0;
-    const std::string* ta = lc.tokens(i, &na);
-    const std::string* tb = rc.tokens(j, &nb);
+    const std::string_view* ta = lc.tokens(i, &na);
+    const std::string_view* tb = rc.tokens(j, &nb);
     if (lc.interner_uid() == rc.interner_uid()) {
       // Same interner (same PrepCache, the documented contract): memoize
       // the token-level Jaro-Winkler by id pair — bit-identical, just not

@@ -30,21 +30,24 @@ struct PrepOptions {
 };
 
 // One column of one table, prepped ONCE: per row the normalized string,
-// the token strings exactly as the tokenizer emitted them (first-occurrence
+// the tokens exactly as the tokenizer emitted them (first-occurrence
 // order — the order the legacy per-pair path saw, so order-sensitive
 // scorers like Monge-Elkan sum in the same order), and a SORTED span of
 // token ids in a flat arena for the merge-based set kernels. Token ids come
 // from the owning PrepCache's interner, so spans from any two columns of
-// the same cache are directly comparable.
+// the same cache are directly comparable. Each token is a view of the
+// interner's string for its id; the column shares ownership of the
+// interner, so the views stay valid for the column's lifetime.
 //
 // Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
  public:
   // Preps every row of `column`. `tokenizer` may be null for text-only
-  // prep (string features need no tokens). `interner` must outlive the
-  // column and is mutated (new tokens interned) during construction.
+  // prep (string features need no tokens). `interner` is mutated (new
+  // tokens interned) during construction and kept alive by the column.
   PreparedColumn(const std::vector<Value>& column, const PrepOptions& options,
-                 const Tokenizer* tokenizer, TokenInterner* interner);
+                 const Tokenizer* tokenizer,
+                 std::shared_ptr<TokenInterner> interner);
 
   // Preps one more row, exactly as the constructor preps each row.
   // `options`, `tokenizer` (null or not) and `interner` must be the ones
@@ -61,16 +64,17 @@ class PreparedColumn {
 
   // Sorted token-id span of a row (empty unless built with a tokenizer).
   IdSpan ids(size_t row) const {
-    return {id_arena_.data() + id_offsets_[row],
-            id_offsets_[row + 1] - id_offsets_[row]};
+    return {id_arena_.data() + offsets_[row],
+            offsets_[row + 1] - offsets_[row]};
   }
 
-  // Token strings of a row in tokenizer-emission order; `*count` receives
-  // the token count. Contiguous, so callers can pass (ptr, count) straight
-  // to the Monge-Elkan span overloads.
-  const std::string* tokens(size_t row, size_t* count) const {
-    *count = token_offsets_[row + 1] - token_offsets_[row];
-    return token_store_.data() + token_offsets_[row];
+  // Tokens of a row in tokenizer-emission order, as views of the
+  // interner's strings; `*count` receives the token count. Contiguous, so
+  // callers can pass (ptr, count) straight to the Monge-Elkan span
+  // overloads.
+  const std::string_view* tokens(size_t row, size_t* count) const {
+    *count = offsets_[row + 1] - offsets_[row];
+    return token_store_.data() + offsets_[row];
   }
 
   // Token ids of a row in tokenizer-EMISSION order, parallel to tokens():
@@ -78,26 +82,27 @@ class PreparedColumn {
   // scorers key per-token-pair memos by id while still summing in the
   // legacy order.
   const uint32_t* emission_ids(size_t row, size_t* count) const {
-    *count = token_offsets_[row + 1] - token_offsets_[row];
-    return emit_ids_.data() + token_offsets_[row];
+    *count = offsets_[row + 1] - offsets_[row];
+    return emit_ids_.data() + offsets_[row];
   }
 
   // uid() of the interner the ids were assigned by; columns from the same
   // PrepCache share it. See TokenInterner::uid().
-  uint64_t interner_uid() const { return interner_uid_; }
+  uint64_t interner_uid() const { return interner_->uid(); }
 
   bool tokenized() const { return tokenized_; }
 
  private:
   bool tokenized_;
-  uint64_t interner_uid_;
+  std::shared_ptr<const TokenInterner> interner_;  // owns the token strings
   std::vector<uint8_t> null_;
   std::vector<std::string> text_;
-  std::vector<std::string> token_store_;   // flat, row-major
-  std::vector<uint32_t> token_offsets_;    // rows+1
-  std::vector<uint32_t> emit_ids_;         // flat, emission order per row
-  std::vector<uint32_t> id_arena_;         // flat, each row's run sorted
-  std::vector<uint32_t> id_offsets_;       // rows+1
+  // The three token arrays are parallel: row r owns [offsets_[r],
+  // offsets_[r + 1]) of each.
+  std::vector<std::string_view> token_store_;  // emission order
+  std::vector<uint32_t> emit_ids_;             // emission order
+  std::vector<uint32_t> id_arena_;             // each row's run sorted
+  std::vector<uint32_t> offsets_;              // rows+1
 };
 
 // Caches PreparedColumns keyed on (column identity, prep options,
@@ -179,7 +184,9 @@ class PrepCache {
   };
 
   mutable std::mutex mu_;
-  TokenInterner interner_;
+  // Shared with every column built here, whose tokens view its strings.
+  const std::shared_ptr<TokenInterner> interner_ =
+      std::make_shared<TokenInterner>();
   std::map<Key, std::shared_ptr<const PreparedColumn>> cache_;
 };
 

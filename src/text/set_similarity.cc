@@ -153,8 +153,8 @@ double CosineSimilarity(IdSpan a, IdSpan b) {
   return CosineFromStats(ComputeStats(a, b));
 }
 
-double MongeElkanAsymmetric(const std::string* a, size_t na,
-                            const std::string* b, size_t nb) {
+double MongeElkanAsymmetric(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb) {
   if (na == 0) return nb == 0 ? 1.0 : 0.0;
   if (nb == 0) return 0.0;
   double sum = 0.0;
@@ -168,8 +168,8 @@ double MongeElkanAsymmetric(const std::string* a, size_t na,
   return sum / static_cast<double>(na);
 }
 
-double MongeElkanSimilarity(const std::string* a, size_t na,
-                            const std::string* b, size_t nb) {
+double MongeElkanSimilarity(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb) {
   return 0.5 * (MongeElkanAsymmetric(a, na, b, nb) +
                 MongeElkanAsymmetric(b, nb, a, na));
 }
@@ -190,8 +190,8 @@ struct JwMemo {
   std::unordered_map<uint64_t, double> scores;  // (aid << 32 | bid) -> jw
 };
 
-double MemoizedJw(JwMemo& memo, const std::string& a, uint32_t aid,
-                  const std::string& b, uint32_t bid) {
+double MemoizedJw(JwMemo& memo, std::string_view a, uint32_t aid,
+                  std::string_view b, uint32_t bid) {
   const uint64_t key = (static_cast<uint64_t>(aid) << 32) | bid;
   auto it = memo.scores.find(key);
   if (it != memo.scores.end()) return it->second;
@@ -200,9 +200,9 @@ double MemoizedJw(JwMemo& memo, const std::string& a, uint32_t aid,
   return v;
 }
 
-double MongeElkanAsymmetricMemo(JwMemo& memo, const std::string* a,
+double MongeElkanAsymmetricMemo(JwMemo& memo, const std::string_view* a,
                                 const uint32_t* aid, size_t na,
-                                const std::string* b, const uint32_t* bid,
+                                const std::string_view* b, const uint32_t* bid,
                                 size_t nb) {
   if (na == 0) return nb == 0 ? 1.0 : 0.0;
   if (nb == 0) return 0.0;
@@ -219,8 +219,8 @@ double MongeElkanAsymmetricMemo(JwMemo& memo, const std::string* a,
 
 }  // namespace
 
-double MongeElkanSimilarityMemo(const std::string* a, const uint32_t* aid,
-                                size_t na, const std::string* b,
+double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
+                                size_t na, const std::string_view* b,
                                 const uint32_t* bid, size_t nb,
                                 uint64_t interner_uid) {
   thread_local JwMemo memo;
@@ -249,12 +249,16 @@ uint64_t MongeElkanMemoGeneration() {
 
 double MongeElkanAsymmetric(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
-  return MongeElkanAsymmetric(a.data(), a.size(), b.data(), b.size());
+  std::vector<std::string_view> va(a.begin(), a.end());
+  std::vector<std::string_view> vb(b.begin(), b.end());
+  return MongeElkanAsymmetric(va.data(), va.size(), vb.data(), vb.size());
 }
 
 double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
-  return MongeElkanSimilarity(a.data(), a.size(), b.data(), b.size());
+  std::vector<std::string_view> va(a.begin(), a.end());
+  std::vector<std::string_view> vb(b.begin(), b.end());
+  return MongeElkanSimilarity(va.data(), va.size(), vb.data(), vb.size());
 }
 
 TfIdfScorer::TfIdfScorer(

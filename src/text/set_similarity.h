@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -62,14 +63,14 @@ double MongeElkanAsymmetric(const std::vector<std::string>& a,
 double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b);
 
-// Span forms over contiguous token-string arrays (PreparedColumn keeps the
+// Span forms over contiguous token-view arrays (PreparedColumn keeps the
 // deduplicated tokens of a row contiguous in first-occurrence order, which
 // preserves the legacy summation order — floating-point results are
 // bit-identical to the vector forms).
-double MongeElkanAsymmetric(const std::string* a, size_t na,
-                            const std::string* b, size_t nb);
-double MongeElkanSimilarity(const std::string* a, size_t na,
-                            const std::string* b, size_t nb);
+double MongeElkanAsymmetric(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb);
+double MongeElkanSimilarity(const std::string_view* a, size_t na,
+                            const std::string_view* b, size_t nb);
 
 // As the span form, but with the tokens' interner ids (`aid[i]` is the id
 // of `a[i]`) so the inner token-level Jaro-Winkler calls are memoized per
@@ -80,8 +81,8 @@ double MongeElkanSimilarity(const std::string* a, size_t na,
 // pair across the thousands of candidate pairs that share records.
 // `interner_uid` must be TokenInterner::uid() of the interner that assigned
 // BOTH sides' ids (PreparedColumn::interner_uid()).
-double MongeElkanSimilarityMemo(const std::string* a, const uint32_t* aid,
-                                size_t na, const std::string* b,
+double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
+                                size_t na, const std::string_view* b,
                                 const uint32_t* bid, size_t nb,
                                 uint64_t interner_uid);
 

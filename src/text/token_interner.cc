@@ -1,6 +1,7 @@
 #include "src/text/token_interner.h"
 
 #include <atomic>
+#include <functional>
 
 namespace emx {
 
@@ -9,19 +10,48 @@ uint64_t TokenInterner::NextUid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+uint32_t TokenInterner::Hash(std::string_view token) {
+  const uint64_t h = std::hash<std::string_view>{}(token);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+size_t TokenInterner::Probe(std::string_view token, uint32_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id_plus_one == 0) return i;
+    if (slot.hash == hash && strings_[slot.id_plus_one - 1] == token) return i;
+  }
+}
+
+void TokenInterner::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id_plus_one == 0) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].id_plus_one != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 uint32_t TokenInterner::Intern(std::string_view token) {
-  auto it = ids_.find(token);
-  if (it != ids_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(strings_.size());
-  strings_.emplace_back(token);
-  ids_.emplace(strings_.back(), id);
-  return id;
+  if (2 * (strings_.size() + 1) > slots_.size()) Grow();
+  const uint32_t hash = Hash(token);
+  Slot& slot = slots_[Probe(token, hash)];
+  if (slot.id_plus_one == 0) {
+    strings_.emplace_back(token);
+    slot = {hash, static_cast<uint32_t>(strings_.size())};
+  }
+  return slot.id_plus_one - 1;
 }
 
 std::optional<uint32_t> TokenInterner::Find(std::string_view token) const {
-  auto it = ids_.find(token);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
+  if (slots_.empty()) return std::nullopt;
+  const Slot& slot = slots_[Probe(token, Hash(token))];
+  if (slot.id_plus_one == 0) return std::nullopt;
+  return slot.id_plus_one - 1;
 }
 
 }  // namespace emx

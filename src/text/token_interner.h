@@ -6,7 +6,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace emx {
 
@@ -33,7 +33,10 @@ struct IdSpan {
 // join orders tokens by (frequency, token string), not by id), so the same
 // interner may be shared by caches filled in any order without affecting
 // results. Interned strings are stored in a deque: references returned by
-// TokenString() stay valid across later Intern() calls.
+// TokenString() stay valid across later Intern() calls, so views of them
+// can stand in for the tokens. Lookup is an open-addressing table of
+// (hash, id) slots over that deque: no node per token, and growing the
+// table moves 8-byte slots, never strings.
 //
 // Not internally synchronized — PrepCache serializes all access under its
 // own mutex.
@@ -63,11 +66,26 @@ class TokenInterner {
   uint64_t uid() const { return uid_; }
 
  private:
+  // One slot of the table: the token's hash and its id + 1 (0 = empty).
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t id_plus_one = 0;
+  };
+
   static uint64_t NextUid();
+  static uint32_t Hash(std::string_view token);
+
+  // The slot holding `token`, or the empty slot where it belongs. The
+  // table is never more than half full, so the linear probe terminates.
+  size_t Probe(std::string_view token, uint32_t hash) const;
+
+  // Doubles the table (16 slots at first) and re-places every slot by its
+  // stored hash.
+  void Grow();
 
   const uint64_t uid_ = NextUid();
   std::deque<std::string> strings_;  // id -> token; deque keeps refs stable
-  std::unordered_map<std::string_view, uint32_t> ids_;  // views into strings_
+  std::vector<Slot> slots_;          // power-of-two size, at most half full
 };
 
 }  // namespace emx

@@ -8,69 +8,80 @@
 namespace emx {
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view s) const {
-  std::vector<std::string> tokens = TokenizeImpl(s);
-  if (!unique_) return tokens;
-  // The set must own its keys: moving tokens into `out` would invalidate
-  // any view-based key pointing at them.
-  std::unordered_set<std::string> seen;
+  std::string buffer;
+  std::vector<std::string_view> views;
+  TokenViews(s, &buffer, &views);
+  if (!unique_) return std::vector<std::string>(views.begin(), views.end());
+  std::unordered_set<std::string_view> seen;
   std::vector<std::string> out;
-  out.reserve(tokens.size());
-  for (auto& t : tokens) {
-    if (seen.insert(t).second) out.push_back(std::move(t));
+  out.reserve(views.size());
+  for (std::string_view t : views) {
+    if (seen.insert(t).second) out.emplace_back(t);
   }
   return out;
 }
 
-std::vector<std::string> WhitespaceTokenizer::TokenizeImpl(
-    std::string_view s) const {
-  return SplitWhitespace(s);
+void WhitespaceTokenizer::TokenViews(std::string_view s, std::string*,
+                                     std::vector<std::string_view>* out) const {
+  out->clear();
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && is_space(s[i])) ++i;
+    size_t start = i;
+    while (i < s.size() && !is_space(s[i])) ++i;
+    if (i > start) out->push_back(s.substr(start, i - start));
+  }
 }
 
-std::vector<std::string> AlphanumericTokenizer::TokenizeImpl(
-    std::string_view s) const {
-  std::vector<std::string> out;
-  size_t i = 0;
+void AlphanumericTokenizer::TokenViews(
+    std::string_view s, std::string*,
+    std::vector<std::string_view>* out) const {
+  out->clear();
   auto is_alnum = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
            (c >= '0' && c <= '9');
   };
+  size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && !is_alnum(s[i])) ++i;
     size_t start = i;
     while (i < s.size() && is_alnum(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    if (i > start) out->push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 QgramTokenizer::QgramTokenizer(int q, bool pad) : q_(q < 1 ? 1 : q), pad_(pad) {}
 
-std::vector<std::string> QgramTokenizer::TokenizeImpl(std::string_view s) const {
-  std::string padded;
+void QgramTokenizer::TokenViews(std::string_view s, std::string* buffer,
+                                std::vector<std::string_view>* out) const {
+  out->clear();
+  std::string_view padded = s;
   if (pad_) {
-    padded.append(static_cast<size_t>(q_ - 1), '#');
-    padded.append(s);
-    padded.append(static_cast<size_t>(q_ - 1), '$');
-  } else {
-    padded.assign(s);
+    buffer->assign(static_cast<size_t>(q_ - 1), '#');
+    buffer->append(s);
+    buffer->append(static_cast<size_t>(q_ - 1), '$');
+    padded = *buffer;
   }
-  std::vector<std::string> out;
-  if (padded.size() < static_cast<size_t>(q_)) return out;
-  out.reserve(padded.size() - q_ + 1);
-  for (size_t i = 0; i + q_ <= padded.size(); ++i) {
-    out.push_back(padded.substr(i, static_cast<size_t>(q_)));
+  const size_t q = static_cast<size_t>(q_);
+  for (size_t i = 0; i + q <= padded.size(); ++i) {
+    out->push_back(padded.substr(i, q));
   }
-  return out;
 }
 
-std::vector<std::string> DelimiterTokenizer::TokenizeImpl(
-    std::string_view s) const {
-  std::vector<std::string> out;
-  for (auto& part : Split(s, delim_)) {
-    std::string_view stripped = StripWhitespace(part);
-    if (!stripped.empty()) out.emplace_back(stripped);
+void DelimiterTokenizer::TokenViews(std::string_view s, std::string*,
+                                    std::vector<std::string_view>* out) const {
+  out->clear();
+  size_t start = 0;
+  for (size_t i = 0; i <= s.size(); ++i) {
+    if (i == s.size() || s[i] == delim_) {
+      std::string_view stripped = StripWhitespace(s.substr(start, i - start));
+      if (!stripped.empty()) out->push_back(stripped);
+      start = i + 1;
+    }
   }
-  return out;
 }
 
 }  // namespace emx

@@ -19,14 +19,21 @@ class Tokenizer {
   // occurrence order preserved).
   std::vector<std::string> Tokenize(std::string_view s) const;
 
-  // A stable name for feature naming, e.g. "ws", "qgm_3".
+  // The one tokenization body: replaces `*out` with every token of `s` in
+  // emission order, repeats included whatever unique() says (callers that
+  // want set semantics drop repeats themselves, as Tokenize does). The
+  // views point into `s` or into `*buffer`, a caller-owned scratch string
+  // (q-gram padding), so they stay valid until either changes. Reusing
+  // `out` and `buffer` across calls makes tokenization allocation-free.
+  virtual void TokenViews(std::string_view s, std::string* buffer,
+                          std::vector<std::string_view>* out) const = 0;
+
+  // A stable name for feature naming, e.g. "ws", "qgm_3". Together with
+  // unique() it identifies the tokenizer's output, so prep caches key on it.
   virtual std::string name() const = 0;
 
   bool unique() const { return unique_; }
   void set_unique(bool unique) { unique_ = unique; }
-
- protected:
-  virtual std::vector<std::string> TokenizeImpl(std::string_view s) const = 0;
 
  private:
   bool unique_ = true;
@@ -36,18 +43,16 @@ class Tokenizer {
 class WhitespaceTokenizer : public Tokenizer {
  public:
   std::string name() const override { return "ws"; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenViews(std::string_view s, std::string* buffer,
+                  std::vector<std::string_view>* out) const override;
 };
 
 // Tokens are maximal runs of [A-Za-z0-9]; punctuation separates.
 class AlphanumericTokenizer : public Tokenizer {
  public:
   std::string name() const override { return "alnum"; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenViews(std::string_view s, std::string* buffer,
+                  std::vector<std::string_view>* out) const override;
 };
 
 // Sliding character q-grams. With `pad` set, the string is padded with q-1
@@ -57,11 +62,13 @@ class QgramTokenizer : public Tokenizer {
  public:
   explicit QgramTokenizer(int q, bool pad = true);
 
-  std::string name() const override { return "qgm_" + std::to_string(q_); }
+  // "qgm_3" padded, "qgm_3_nopad" unpadded: the two emit different tokens.
+  std::string name() const override {
+    return "qgm_" + std::to_string(q_) + (pad_ ? "" : "_nopad");
+  }
   int q() const { return q_; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenViews(std::string_view s, std::string* buffer,
+                  std::vector<std::string_view>* out) const override;
 
  private:
   int q_;
@@ -75,9 +82,8 @@ class DelimiterTokenizer : public Tokenizer {
   explicit DelimiterTokenizer(char delim) : delim_(delim) {}
 
   std::string name() const override { return std::string("delim_") + delim_; }
-
- protected:
-  std::vector<std::string> TokenizeImpl(std::string_view s) const override;
+  void TokenViews(std::string_view s, std::string* buffer,
+                  std::vector<std::string_view>* out) const override;
 
  private:
   char delim_;

@@ -514,8 +514,8 @@ TEST(FeatureRulesBatchTest, UnknownFeatureIsNotFound) {
 TEST(MongeElkanMemoTest, ClearFlushesStaleEntries) {
   static_assert(kMongeElkanMemoMaxEntries > 0);
   const uint64_t uid = 0xE1DB7u;
-  const std::string a1[] = {"martha"};
-  const std::string b1[] = {"marhta"};
+  const std::string_view a1[] = {"martha"};
+  const std::string_view b1[] = {"marhta"};
   const uint32_t aid[] = {0};
   const uint32_t bid[] = {1};
   const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
@@ -523,8 +523,8 @@ TEST(MongeElkanMemoTest, ClearFlushesStaleEntries) {
 
   // Same ids + same uid but different strings: the memo (by design) serves
   // the stale score — ids are the key, strings only feed misses.
-  const std::string a2[] = {"zzzz"};
-  const std::string b2[] = {"qqqq"};
+  const std::string_view a2[] = {"zzzz"};
+  const std::string_view b2[] = {"qqqq"};
   EXPECT_EQ(MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid), v1);
 
   // After the flush the very same call recomputes from the strings.
@@ -536,8 +536,8 @@ TEST(MongeElkanMemoTest, ClearFlushesStaleEntries) {
 
 TEST(MongeElkanMemoTest, PrepCacheClearFlushesTheMemo) {
   const uint64_t uid = 0xCAC4Eu;
-  const std::string a1[] = {"hello"};
-  const std::string b1[] = {"hallo"};
+  const std::string_view a1[] = {"hello"};
+  const std::string_view b1[] = {"hallo"};
   const uint32_t aid[] = {3};
   const uint32_t bid[] = {4};
   const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
@@ -545,8 +545,8 @@ TEST(MongeElkanMemoTest, PrepCacheClearFlushesTheMemo) {
   PrepCache cache;
   cache.Clear();  // must invalidate every thread's memo
 
-  const std::string a2[] = {"aaaa"};
-  const std::string b2[] = {"bbbb"};
+  const std::string_view a2[] = {"aaaa"};
+  const std::string_view b2[] = {"bbbb"};
   const double fresh = MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid);
   EXPECT_EQ(fresh, MongeElkanSimilarity(a2, 1, b2, 1));
   EXPECT_NE(fresh, v1);

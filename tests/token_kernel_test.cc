@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/block/partitioned_blocker.h"
 #include "src/block/similarity_join.h"
 #include "src/core/executor.h"
+#include "src/core/strings.h"
 #include "src/feature/feature_gen.h"
 #include "src/feature/vectorizer.h"
 #include "src/prep/prepared_column.h"
@@ -119,6 +122,36 @@ TEST(TokenInternerTest, StringReferencesStableAcrossGrowth) {
   EXPECT_EQ(ref, "stable");  // deque storage: no reallocation of strings
 }
 
+// 200k distinct tokens force many table rehashes; the empty token and
+// tokens sharing long prefixes sit among them.
+TEST(TokenInternerTest, DenseIdsAndStableStringsAcrossRehashes) {
+  TokenInterner interner;
+  EXPECT_FALSE(interner.Find("").has_value());  // empty table
+  const std::string prefix(40, 'p');
+  std::vector<std::string> tokens = {""};
+  for (int i = 0; tokens.size() < 200000; ++i) {
+    tokens.push_back(std::to_string(i));
+    tokens.push_back(prefix + std::to_string(i));
+  }
+  std::vector<const std::string*> refs;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    ASSERT_FALSE(interner.Find(tokens[i]).has_value()) << i;
+    ASSERT_EQ(interner.Intern(tokens[i]), i);
+    refs.push_back(&interner.TokenString(static_cast<uint32_t>(i)));
+  }
+  ASSERT_EQ(interner.size(), tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    std::optional<uint32_t> found = interner.Find(tokens[i]);
+    ASSERT_TRUE(found.has_value()) << i;
+    ASSERT_EQ(*found, i);
+    ASSERT_EQ(interner.Intern(tokens[i]), i);
+    ASSERT_EQ(&interner.TokenString(static_cast<uint32_t>(i)), refs[i]);
+    ASSERT_EQ(*refs[i], tokens[i]);
+  }
+  EXPECT_EQ(interner.size(), tokens.size());
+  EXPECT_FALSE(interner.Find(prefix).has_value());
+}
+
 // ---------- id-span kernels vs string kernels ----------
 
 // Interns a token vector and returns its sorted id list (duplicates kept,
@@ -171,29 +204,75 @@ TEST(IdSpanKernelTest, EmptyAndDuplicateEdgeCases) {
 
 TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
   Table t = RandomTable(200, 11);
-  const std::vector<Value>* col = *t.ColumnByName("title");
-  PrepCache cache;
-  WhitespaceTokenizer ws;
-  PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/true};
-  auto prep = cache.Get(*col, opts, &ws);
+  std::vector<Value> col = **t.ColumnByName("title");
+  // Cells that exercise every tokenizer's separators, the q-gram padding
+  // sentinels, and cells shorter than q.
+  for (const char* s :
+       {"SMITH, J | DOE, A |  | LEE, B", "a\tb\nc\rd\ve\ff g", "x|x|y|", "|",
+        "ABC abc AbC", "#ab$ ##a$$", "  ", "a", "aa", "aaaa",
+        "IPM-based (corn)! 2008"}) {
+    col.emplace_back(s);
+  }
+  col.emplace_back(2.5);
 
-  OverlapBlockerOptions legacy_opts;
-  legacy_opts.lowercase = true;
-  legacy_opts.strip_punctuation = true;
-  auto legacy = internal_block::TokenizeColumn(*col, legacy_opts, ws);
-
-  ASSERT_EQ(prep->rows(), col->size());
-  for (size_t r = 0; r < prep->rows(); ++r) {
-    EXPECT_EQ(prep->is_null(r), (*col)[r].is_null());
-    // Token strings match the legacy tokenization exactly, in order.
-    size_t n = 0;
-    const std::string* toks = prep->tokens(r, &n);
-    ASSERT_EQ(n, legacy[r].size()) << "row " << r;
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(toks[i], legacy[r][i]);
-    // Id span is the sorted image of the tokens under the interner.
-    IdSpan ids = prep->ids(r);
-    ASSERT_EQ(ids.size, n);
-    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  std::vector<std::unique_ptr<Tokenizer>> tokenizers;
+  tokenizers.push_back(std::make_unique<WhitespaceTokenizer>());
+  tokenizers.push_back(std::make_unique<AlphanumericTokenizer>());
+  tokenizers.push_back(std::make_unique<DelimiterTokenizer>('|'));
+  for (int q = 1; q <= 4; ++q) {
+    for (bool pad : {true, false}) {
+      tokenizers.push_back(std::make_unique<QgramTokenizer>(q, pad));
+    }
+  }
+  for (auto& tok : tokenizers) {
+    for (bool unique : {true, false}) {
+      tok->set_unique(unique);
+      for (PrepOptions opts :
+           {PrepOptions{false, false}, PrepOptions{true, false},
+            PrepOptions{false, true}, PrepOptions{true, true}}) {
+        SCOPED_TRACE(tok->name() + (unique ? "/u" : "/b") +
+                     (opts.lowercase ? " lc" : "") +
+                     (opts.strip_punctuation ? " sp" : ""));
+        // A fresh cache against a separate interner fed the legacy tokens
+        // row by row: ids must agree exactly, not just up to permutation.
+        PrepCache cache;
+        TokenInterner legacy;
+        auto prep = cache.Get(col, opts, tok.get());
+        OverlapBlockerOptions legacy_opts;
+        legacy_opts.lowercase = opts.lowercase;
+        legacy_opts.strip_punctuation = opts.strip_punctuation;
+        auto legacy_tokens =
+            internal_block::TokenizeColumn(col, legacy_opts, *tok);
+        ASSERT_EQ(prep->rows(), col.size());
+        for (size_t r = 0; r < col.size(); ++r) {
+          EXPECT_EQ(prep->is_null(r), col[r].is_null());
+          std::string text;
+          if (!col[r].is_null()) {
+            text = col[r].AsString();
+            if (opts.lowercase) text = AsciiToLower(text);
+            if (opts.strip_punctuation) text = StripPunctuation(text);
+          }
+          const std::vector<std::string>& want = legacy_tokens[r];
+          std::vector<uint32_t> want_ids;
+          for (const std::string& w : want) {
+            want_ids.push_back(legacy.Intern(w));
+          }
+          EXPECT_EQ(prep->text(r), text) << "row " << r;
+          size_t n = 0;
+          const auto* toks = prep->tokens(r, &n);
+          EXPECT_EQ(std::vector<std::string>(toks, toks + n), want)
+              << "row " << r;
+          const uint32_t* emitted = prep->emission_ids(r, &n);
+          EXPECT_EQ(std::vector<uint32_t>(emitted, emitted + n), want_ids)
+              << "row " << r;
+          std::sort(want_ids.begin(), want_ids.end());
+          IdSpan ids = prep->ids(r);
+          EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()), want_ids)
+              << "row " << r;
+        }
+        EXPECT_EQ(cache.interned_tokens(), legacy.size());
+      }
+    }
   }
 }
 
@@ -232,8 +311,8 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
       EXPECT_EQ(ids_of(grown.ids(r)), ids_of(bulk.ids(r))) << "row " << r;
       EXPECT_EQ(ids_of(grown.ids(r)), ids_of(cached->ids(r))) << "row " << r;
       size_t ng = 0, nb = 0;
-      const std::string* tg = grown.tokens(r, &ng);
-      const std::string* tb = bulk.tokens(r, &nb);
+      const std::string_view* tg = grown.tokens(r, &ng);
+      const std::string_view* tb = bulk.tokens(r, &nb);
       EXPECT_EQ(std::vector<std::string>(tg, tg + ng),
                 std::vector<std::string>(tb, tb + nb))
           << "row " << r;
@@ -266,6 +345,51 @@ TEST(PrepCacheTest, DeduplicatesByColumnAndConfig) {
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(p1->rows(), title->size());
+}
+
+// A padded and an unpadded q-gram tokenizer emit different tokens, so they
+// must not share a cache entry.
+TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
+  std::vector<Value> col = {Value("abcd")};
+  PrepCache cache;
+  QgramTokenizer padded(3);
+  QgramTokenizer unpadded(3, /*pad=*/false);
+  auto p = cache.Get(col, {}, &padded);
+  auto u = cache.Get(col, {}, &unpadded);
+  EXPECT_NE(p.get(), u.get());
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(p->ids(0).size, 6u);
+  EXPECT_EQ(u->ids(0).size, 2u);
+  size_t n = 0;
+  const auto* toks = u->tokens(0, &n);
+  EXPECT_EQ(std::vector<std::string>(toks, toks + n),
+            (std::vector<std::string>{"abc", "bcd"}));
+}
+
+// Columns keep their cache's interner alive: their tokens view its strings.
+TEST(PrepCacheTest, ColumnOutlivesItsCache) {
+  std::vector<Value> col = {Value("alpha beta alpha"), Value::Null(),
+                            Value("gamma")};
+  WhitespaceTokenizer ws;
+  QgramTokenizer q3(3);
+  std::shared_ptr<const PreparedColumn> cached;
+  std::optional<PreparedColumn> uncached;
+  {
+    PrepCache cache;
+    cached = cache.Get(col, {}, &ws);
+    uncached.emplace(cache.PrepUncached(col, {}, &q3));
+  }
+  auto tokens_of = [](const PreparedColumn& c, size_t row) {
+    size_t n = 0;
+    const auto* toks = c.tokens(row, &n);
+    return std::vector<std::string>(toks, toks + n);
+  };
+  EXPECT_EQ(tokens_of(*cached, 0), (std::vector<std::string>{"alpha", "beta"}));
+  EXPECT_TRUE(tokens_of(*cached, 1).empty());
+  EXPECT_EQ(tokens_of(*cached, 2), (std::vector<std::string>{"gamma"}));
+  EXPECT_EQ(tokens_of(*uncached, 2),
+            (std::vector<std::string>{"##g", "#ga", "gam", "amm", "mma", "ma$",
+                                      "a$$"}));
 }
 
 // ---------- overlap join: id path vs legacy string path ----------
