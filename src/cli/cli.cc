@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -110,6 +111,27 @@ Status WritePairsCsv(const CandidateSet& pairs, const std::string& path) {
   return WriteCsvFile(t, path);
 }
 
+// Row `r`'s (left_id, right_id) of a pairs or labels CSV. Each must be an
+// integer cell in [0, 2^32); anything else is a ParseError naming the file,
+// the row and the column. Whether the id is a row of its table is
+// VectorizePairs' check.
+Result<RecordPair> ReadPairIds(const Table& t, size_t r,
+                               const std::string& path) {
+  uint32_t ids[2];
+  const char* cols[2] = {"left_id", "right_id"};
+  for (int side = 0; side < 2; ++side) {
+    const Value& cell = t.at(r, cols[side]);
+    if (!cell.is_int() || cell.AsInt() < 0 ||
+        cell.AsInt() > int64_t{UINT32_MAX}) {
+      return Status::ParseError(path + ": row " + std::to_string(r) + " " +
+                                cols[side] + " '" + cell.AsString() +
+                                "' is not an integer in [0, 2^32)");
+    }
+    ids[side] = static_cast<uint32_t>(cell.AsInt());
+  }
+  return RecordPair{ids[0], ids[1]};
+}
+
 Result<CandidateSet> ReadPairsCsv(const std::string& path) {
   EMX_ASSIGN_OR_RETURN(Table t, ReadCsvFile(path));
   if (!t.schema().Contains("left_id") || !t.schema().Contains("right_id")) {
@@ -118,9 +140,8 @@ Result<CandidateSet> ReadPairsCsv(const std::string& path) {
   }
   std::vector<RecordPair> pairs;
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    pairs.push_back(
-        {static_cast<uint32_t>(t.at(r, "left_id").AsInt()),
-         static_cast<uint32_t>(t.at(r, "right_id").AsInt())});
+    EMX_ASSIGN_OR_RETURN(RecordPair pair, ReadPairIds(t, r, path));
+    pairs.push_back(pair);
   }
   return CandidateSet(std::move(pairs));
 }
@@ -147,9 +168,8 @@ Result<LabeledSet> ReadLabelsCsv(const std::string& path) {
       return Status::ParseError(path + ": bad label '" + raw + "' in row " +
                                 std::to_string(r));
     }
-    out.SetLabel({static_cast<uint32_t>(t.at(r, "left_id").AsInt()),
-                  static_cast<uint32_t>(t.at(r, "right_id").AsInt())},
-                 label);
+    EMX_ASSIGN_OR_RETURN(RecordPair pair, ReadPairIds(t, r, path));
+    out.SetLabel(pair, label);
   }
   return out;
 }

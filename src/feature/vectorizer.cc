@@ -1,9 +1,13 @@
 #include "src/feature/vectorizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "src/text/tokenizer.h"
 
@@ -76,30 +80,99 @@ struct BoundFeatures {
   std::vector<std::shared_ptr<const PreparedColumn>> preps;
 };
 
+// The ascending unique rows `pairs` read on one side. InvalidArgument,
+// naming the side and the row, when the largest is past the table's
+// `num_rows`.
+Result<std::vector<uint32_t>> TouchedRows(const CandidateSet& pairs,
+                                          bool left_side, size_t num_rows) {
+  std::vector<uint32_t> rows;
+  rows.reserve(pairs.size());
+  for (const RecordPair& p : pairs) {
+    rows.push_back(left_side ? p.left : p.right);
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (!rows.empty() && rows.back() >= num_rows) {
+    return Status::InvalidArgument(
+        std::string("vectorize: a pair reads ") +
+        (left_side ? "left" : "right") + " row " +
+        std::to_string(rows.back()) + " of a table with " +
+        std::to_string(num_rows) + " rows");
+  }
+  return rows;
+}
+
+// Whether PrepForFeature preps a column identically under both specs.
+bool SamePrep(const FeaturePrepSpec& a, const FeaturePrepSpec& b) {
+  return a.lowercase == b.lowercase && a.tokenize == b.tokenize &&
+         (!a.tokenize || std::max(a.qgram, 0) == std::max(b.qgram, 0));
+}
+
+// One (column, prep spec) that prepared features bind, and the rows they
+// read in it: one side's, or the union of both sides' when a self-join
+// binds the same column storage on both.
+struct PrepFamily {
+  const std::vector<Value>* column;
+  FeaturePrepSpec spec;
+  const std::vector<uint32_t>* rows;
+};
+
 // Resolves every feature's attribute columns (NotFound when one is
 // missing). With `prepared`, each feature with a prepared evaluator also
-// binds its columns' prepared forms, built once per (column, prep spec)
-// through `cache` — each record is prepped a single time no matter how
-// many pairs it appears in.
+// binds its columns' prepared forms: one per (column, prep spec) family of
+// the call, through `cache`, prepping only the rows its family reads. Each
+// touched record is prepped once no matter how many pairs and features
+// read it.
 Result<BoundFeatures> BindFeatures(const Table& left, const Table& right,
+                                   const std::vector<uint32_t>& left_rows,
+                                   const std::vector<uint32_t>& right_rows,
                                    const FeatureSet& features,
                                    PrepCache& cache, bool prepared) {
   BoundFeatures out;
   out.inputs.reserve(features.features.size());
+  std::vector<PrepFamily> families;
+  std::vector<uint32_t> both_rows;  // built on first need
+  auto family_of = [&](const std::vector<Value>* column,
+                       const FeaturePrepSpec& spec,
+                       const std::vector<uint32_t>* rows) {
+    size_t i = 0;
+    while (i < families.size() && !(families[i].column == column &&
+                                    SamePrep(families[i].spec, spec))) {
+      ++i;
+    }
+    if (i == families.size()) {
+      families.push_back({column, spec, rows});
+    } else if (families[i].rows != rows) {
+      if (both_rows.empty()) {
+        std::set_union(left_rows.begin(), left_rows.end(), right_rows.begin(),
+                       right_rows.end(), std::back_inserter(both_rows));
+      }
+      families[i].rows = &both_rows;
+    }
+    return i;
+  };
+  // Per input, its (left, right) family; only prepared features have one.
+  std::vector<std::optional<std::pair<size_t, size_t>>> sides;
   for (const Feature& f : features.features) {
     FeatureInputs in;
     EMX_ASSIGN_OR_RETURN(in.left, left.ColumnByName(f.left_attr));
     EMX_ASSIGN_OR_RETURN(in.right, right.ColumnByName(f.right_attr));
+    sides.emplace_back();
     if (prepared && f.has_prep()) {
-      FeaturePrep prep = PrepForFeature(f.prep);
-      out.preps.push_back(
-          cache.Get(*in.left, prep.options, prep.tokenizer.get()));
-      in.left_prep = out.preps.back().get();
-      out.preps.push_back(
-          cache.Get(*in.right, prep.options, prep.tokenizer.get()));
-      in.right_prep = out.preps.back().get();
+      sides.back().emplace(family_of(in.left, f.prep, &left_rows),
+                           family_of(in.right, f.prep, &right_rows));
     }
     out.inputs.push_back(in);
+  }
+  for (const PrepFamily& fam : families) {
+    FeaturePrep prep = PrepForFeature(fam.spec);
+    out.preps.push_back(cache.GetRows(*fam.column, *fam.rows, prep.options,
+                                      prep.tokenizer.get()));
+  }
+  for (size_t i = 0; i < sides.size(); ++i) {
+    if (!sides[i]) continue;
+    out.inputs[i].left_prep = out.preps[sides[i]->first].get();
+    out.inputs[i].right_prep = out.preps[sides[i]->second].get();
   }
   return out;
 }
@@ -111,11 +184,16 @@ Result<PairBatch> Vectorize(const Table& left, const Table& right,
                             const FeatureSet& features,
                             const ExecutorContext& ctx, PrepCache* cache,
                             bool prepared) {
+  EMX_ASSIGN_OR_RETURN(std::vector<uint32_t> left_rows,
+                       TouchedRows(pairs, /*left_side=*/true, left.num_rows()));
+  EMX_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> right_rows,
+      TouchedRows(pairs, /*left_side=*/false, right.num_rows()));
   PrepCache local_cache;
   PrepCache& prep_cache = cache != nullptr ? *cache : local_cache;
-  EMX_ASSIGN_OR_RETURN(
-      BoundFeatures bound,
-      BindFeatures(left, right, features, prep_cache, prepared));
+  EMX_ASSIGN_OR_RETURN(BoundFeatures bound,
+                       BindFeatures(left, right, left_rows, right_rows,
+                                    features, prep_cache, prepared));
   PairBatch batch(pairs.size(), features.features.size());
   batch.feature_names = features.names();
   ctx.get().ParallelFor(0, pairs.size(), /*grain=*/0,

@@ -50,13 +50,19 @@ void EvaluateFeatures(const FeatureSet& features,
 // every feature of `features` on the pair's attribute values (§9: "we used
 // these features to convert each record pair into a feature vector").
 // Row i of the result corresponds to pairs[i]; missing comparisons are NaN.
+// InvalidArgument, naming the side and the row, when a pair indexes past
+// its table.
 //
-// Before the pair loop, every (column, prep spec) a feature references is
-// prepped ONCE through `cache` (or a call-local cache when null):
-// normalization, tokenization, and token-id spans are computed per RECORD,
-// not per (pair × feature) as the legacy path did — the evaluation loop is
-// then allocation-free merge kernels over cached spans. Results are
-// bit-identical to the legacy path (asserted by token_kernel_test).
+// Before the pair loop, each (column, prep spec) a feature references is
+// bound once through `cache` (or a call-local cache when null) with
+// PrepCache::GetRows: the cache's whole column when it holds one (a
+// blocker's), otherwise a column with only the rows the pairs touch
+// prepped — normalization, tokenization, and token-id spans are computed
+// once per touched RECORD, not per (pair × feature) as the legacy path did,
+// and never for a row no pair reads. The evaluation loop is then
+// allocation-free merge kernels over the prepared spans. Results are
+// bit-identical to the legacy path and to whole-column prep (asserted by
+// token_kernel_test).
 //
 // Rows are filled in parallel on `ctx`'s executor — each row is an
 // independent pure computation over (pairs[i], features), so the matrix is

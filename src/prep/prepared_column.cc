@@ -35,6 +35,26 @@ PreparedColumn::PreparedColumn(const std::vector<Value>& column,
   for (const Value& v : column) Append(v, options, tokenizer, interner.get());
 }
 
+PreparedColumn::PreparedColumn(const std::vector<Value>& column,
+                               const std::vector<uint32_t>& rows,
+                               const PrepOptions& options,
+                               const Tokenizer* tokenizer,
+                               std::shared_ptr<TokenInterner> interner)
+    : tokenized_(tokenizer != nullptr), interner_(interner) {
+  size_t n = column.size();
+  null_.reserve(n);
+  text_.reserve(n);
+  offsets_.reserve(n + 1);
+  offsets_.push_back(0);
+  const Value null = Value::Null();
+  auto next = rows.begin();
+  for (size_t r = 0; r < n; ++r) {
+    const bool listed = next != rows.end() && *next == r;
+    if (listed) ++next;
+    Append(listed ? column[r] : null, options, tokenizer, interner.get());
+  }
+}
+
 void PreparedColumn::Append(const Value& value, const PrepOptions& options,
                             const Tokenizer* tokenizer,
                             TokenInterner* interner) {
@@ -77,13 +97,19 @@ void PreparedColumn::Append(const Value& value, const PrepOptions& options,
   offsets_.push_back(static_cast<uint32_t>(emit_ids_.size()));
 }
 
-std::shared_ptr<const PreparedColumn> PrepCache::Get(
-    const std::vector<Value>& column, const PrepOptions& options,
-    const Tokenizer* tokenizer) {
-  Key key{column.data(), column.size(), options,
+PrepCache::Key PrepCache::MakeKey(const std::vector<Value>& column,
+                                  const PrepOptions& options,
+                                  const Tokenizer* tokenizer) {
+  return {column.data(), column.size(), options,
           tokenizer == nullptr
               ? std::string()
               : tokenizer->name() + (tokenizer->unique() ? "/u" : "/b")};
+}
+
+std::shared_ptr<const PreparedColumn> PrepCache::Get(
+    const std::vector<Value>& column, const PrepOptions& options,
+    const Tokenizer* tokenizer) {
+  Key key = MakeKey(column, options, tokenizer);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
@@ -91,6 +117,17 @@ std::shared_ptr<const PreparedColumn> PrepCache::Get(
                                                          tokenizer, interner_);
   cache_.emplace(std::move(key), prepared);
   return prepared;
+}
+
+std::shared_ptr<const PreparedColumn> PrepCache::GetRows(
+    const std::vector<Value>& column, const std::vector<uint32_t>& rows,
+    const PrepOptions& options, const Tokenizer* tokenizer) {
+  const Key key = MakeKey(column, options, tokenizer);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.find(key);
+  if (it != cache_.end()) return it->second;
+  return std::make_shared<const PreparedColumn>(column, rows, options,
+                                                tokenizer, interner_);
 }
 
 PreparedColumn PrepCache::PrepUncached(const std::vector<Value>& column,

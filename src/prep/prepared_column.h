@@ -29,15 +29,17 @@ struct PrepOptions {
   }
 };
 
-// One column of one table, prepped ONCE: per row the normalized string,
-// the tokens exactly as the tokenizer emitted them (first-occurrence
-// order — the order the legacy per-pair path saw, so order-sensitive
-// scorers like Monge-Elkan sum in the same order), and a SORTED span of
-// token ids in a flat arena for the merge-based set kernels. Token ids come
-// from the owning PrepCache's interner, so spans from any two columns of
-// the same cache are directly comparable. Each token is a view of the
-// interner's string for its id; the column shares ownership of the
-// interner, so the views stay valid for the column's lifetime.
+// One column of one table, prepped ONCE (every row, or only the rows a
+// reader will read — see the row-list constructor): per row the normalized
+// string, the tokens exactly as the tokenizer emitted them
+// (first-occurrence order — the order the legacy per-pair path saw, so
+// order-sensitive scorers like Monge-Elkan sum in the same order), and a
+// SORTED span of token ids in a flat arena for the merge-based set
+// kernels. Token ids come from the owning PrepCache's interner, so spans
+// from any two columns of the same cache are directly comparable. Each
+// token is a view of the interner's string for its id; the column shares
+// ownership of the interner, so the views stay valid for the column's
+// lifetime.
 //
 // Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
@@ -46,6 +48,17 @@ class PreparedColumn {
   // prep (string features need no tokens). `interner` is mutated (new
   // tokens interned) during construction and kept alive by the column.
   PreparedColumn(const std::vector<Value>& column, const PrepOptions& options,
+                 const Tokenizer* tokenizer,
+                 std::shared_ptr<TokenInterner> interner);
+
+  // Preps only `rows` of `column` (ascending, unique, each below
+  // column.size()). The column keeps column.size() rows, so a row index
+  // means what it means in `column`; every unlisted row is an empty null
+  // row that no reader may rely on. Listed rows are prepped exactly as the
+  // constructor above preps them, and tokens are interned in listed-row
+  // order.
+  PreparedColumn(const std::vector<Value>& column,
+                 const std::vector<uint32_t>& rows, const PrepOptions& options,
                  const Tokenizer* tokenizer,
                  std::shared_ptr<TokenInterner> interner);
 
@@ -111,11 +124,14 @@ class PreparedColumn {
 // blockers/features — intersect directly. This is what collapses the
 // per-(pair × feature) tokenization of the legacy path to one pass per
 // (column, prep config): each record is prepped once no matter how many
-// candidate pairs it appears in.
+// candidate pairs it appears in. Only whole columns are cached (Get);
+// vectorize binds through GetRows, which reuses a cached whole column or
+// preps just the rows its pairs touch into a column it never caches.
 //
-// Thread-safety: Get() is fully synchronized (builds are serialized under
-// the cache mutex — concurrent blockers requesting columns simply take
-// turns prepping). Returned shared_ptrs stay valid across Clear().
+// Thread-safety: Get() and GetRows() are fully synchronized (builds are
+// serialized under the cache mutex — concurrent blockers requesting
+// columns simply take turns prepping). Returned shared_ptrs stay valid
+// across Clear().
 //
 // Invalidation contract: entries are keyed on the COLUMN'S STORAGE ADDRESS
 // plus its row count, so a cache must not outlive the tables it prepped
@@ -134,6 +150,16 @@ class PrepCache {
   std::shared_ptr<const PreparedColumn> Get(const std::vector<Value>& column,
                                             const PrepOptions& options,
                                             const Tokenizer* tokenizer);
+
+  // The prepared form of `column` for a reader that reads only `rows`
+  // (ascending, unique, each below column.size()). When the cache already
+  // holds the whole column under (options, tokenizer), that is returned.
+  // Otherwise only `rows` are prepped, through this cache's interner, into
+  // a column that is NEVER entered into the cache: a later Get (a
+  // blocker's) can never receive a partial column.
+  std::shared_ptr<const PreparedColumn> GetRows(
+      const std::vector<Value>& column, const std::vector<uint32_t>& rows,
+      const PrepOptions& options, const Tokenizer* tokenizer);
 
   // Builds a PreparedColumn sharing THIS cache's interner without entering
   // it into the cache. For columns whose storage address may be reused by
@@ -182,6 +208,8 @@ class PrepCache {
       return a.tokenizer_key < b.tokenizer_key;
     }
   };
+  static Key MakeKey(const std::vector<Value>& column,
+                     const PrepOptions& options, const Tokenizer* tokenizer);
 
   mutable std::mutex mu_;
   // Shared with every column built here, whose tokens view its strings.

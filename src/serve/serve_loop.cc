@@ -1,5 +1,6 @@
 #include "src/serve/serve_loop.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -109,11 +110,14 @@ Result<JsonValue> ApplyRequest(MatchService& service, const JsonValue& req) {
   }
   if (name == "remove") {
     const JsonValue* id = req.Find("record_id");
-    if (id == nullptr || !id->is_number()) {
-      return Status::InvalidArgument("serve: remove needs numeric 'record_id'");
+    // Only an integral id in [0, 2^32) names a record: a cast would
+    // truncate 3.7 to record 3, and -1 or 1e20 overflow it.
+    const double d = id != nullptr && id->is_number() ? id->number_value() : -1;
+    if (!(d >= 0 && d < 4294967296.0 && d == std::floor(d))) {
+      return Status::InvalidArgument(
+          "serve: remove needs an integer 'record_id' in [0, 2^32)");
     }
-    EMX_RETURN_IF_ERROR(
-        service.Remove(static_cast<uint32_t>(id->number_value())));
+    EMX_RETURN_IF_ERROR(service.Remove(static_cast<uint32_t>(d)));
     out.Set("removed", JsonValue::Bool(true));
     return out;
   }

@@ -168,6 +168,47 @@ TEST(CliTest, MatchRejectsBadLabel) {
   EXPECT_NE(r.err.find("bad label"), std::string::npos);
 }
 
+// Pair and label ids are checked, never trusted: a cell that is not an
+// integer in [0, 2^32) is a ParseError naming the file, row and column, and
+// an id past its table is an InvalidArgument naming the side and row.
+TEST(CliTest, MatchRejectsBadPairAndLabelIds) {
+  std::string left = WriteTemp("ml3.csv", kLeftCsv);
+  std::string right = WriteTemp("mr3.csv", kRightCsv);
+  std::string good_pairs =
+      WriteTemp("mp3.csv", "left_id,right_id\n0,0\n0,1\n2,0\n2,1\n");
+  std::string good_labels = WriteTemp(
+      "mlabels3.csv",
+      "left_id,right_id,label\n0,0,yes\n0,1,no\n2,0,no\n2,1,yes\n");
+  struct Case {
+    std::string pairs;
+    std::string labels;
+    std::vector<std::string> needles;
+  };
+  const std::vector<Case> cases = {
+      // Row 5000000 of a two-row right table.
+      {WriteTemp("mp3_far.csv", "left_id,right_id\n0,0\n0,5000000\n"),
+       good_labels,
+       {"InvalidArgument", "right row 5000000"}},
+      {good_pairs,
+       WriteTemp("mlabels3_neg.csv",
+                 "left_id,right_id,label\n0,0,yes\n-1,1,no\n"),
+       {"ParseError", "mlabels3_neg.csv", "row 1", "left_id", "'-1'"}},
+      // Used to read as row 0 and be scored.
+      {WriteTemp("mp3_abc.csv", "left_id,right_id\n0,0\nabc,1\n"),
+       good_labels,
+       {"ParseError", "mp3_abc.csv", "row 1", "left_id", "'abc'"}},
+  };
+  for (const Case& c : cases) {
+    CliResult r = RunEmx({"match", left, right, "--pairs=" + c.pairs,
+                          "--labels=" + c.labels, "--exclude=RecordId"});
+    EXPECT_EQ(r.code, 1) << r.out;
+    for (const std::string& needle : c.needles) {
+      EXPECT_NE(r.err.find(needle), std::string::npos)
+          << "missing '" << needle << "' in: " << r.err;
+    }
+  }
+}
+
 TEST(CliTest, DedupeFindsDuplicateRows) {
   std::string table = WriteTemp(
       "dedupe.csv",

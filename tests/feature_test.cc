@@ -223,6 +223,34 @@ TEST(VectorizerTest, UnknownFeatureAttrIsNotFound) {
             StatusCode::kNotFound);
 }
 
+// A pair past either table is an error naming the side and the row, on
+// both entry points and whether or not any feature is prepared.
+TEST(VectorizerTest, PairPastItsTableIsInvalidArgument) {
+  Table l = FeatLeft(), r = FeatRight();
+  auto set = GenerateFeatures(l, r, {.exclude = {"RecordId"},
+                                     .lowercase_variants = {}});
+  ASSERT_TRUE(set.ok());
+  FeatureSet numeric_only;
+  numeric_only.features.push_back(MakeAbsDiffFeature("Amount", "Amount"));
+  struct Case {
+    RecordPair pair;
+    const char* needle;
+  };
+  for (const Case& c : {Case{{0, 5000000}, "right row 5000000"},
+                        Case{{2, 0}, "left row 2"},
+                        Case{{4294967295u, 1}, "left row 4294967295"}}) {
+    CandidateSet pairs(std::vector<RecordPair>{{0, 0}, c.pair});
+    for (const FeatureSet* features : {&*set, &numeric_only}) {
+      Status s = VectorizePairs(l, r, pairs, *features).status();
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.needle;
+      EXPECT_NE(s.message().find(c.needle), std::string::npos) << s.message();
+      EXPECT_EQ(VectorizePairsBatch(l, r, pairs, *features).status().code(),
+                StatusCode::kInvalidArgument)
+          << c.needle;
+    }
+  }
+}
+
 TEST(ImputerTest, FillsNaNWithTrainingMeans) {
   FeatureMatrix train;
   train.feature_names = {"f0", "f1"};

@@ -213,6 +213,47 @@ TEST(ServeLoopTest, EndToEndSessionOverStream) {
   EXPECT_EQ(r8->Find("error")->string_value(), "InvalidArgument");
 }
 
+// A remove id that is not an integer in [0, 2^32) is an error, never cast:
+// 3.7 used to remove record 3, and -1 and 1e20 overflowed the cast.
+TEST(ServeLoopTest, RemoveRejectsNonIntegralIds) {
+  auto fx = std::unique_ptr<LoopFixture>(MakeLoopFixture());
+  std::istringstream in(
+      R"({"id":1,"op":"remove","record_id":3.7})"
+      "\n"
+      R"({"id":2,"op":"remove","record_id":-1})"
+      "\n"
+      R"({"id":3,"op":"remove","record_id":1e20})"
+      "\n"
+      R"({"id":4,"op":"remove","record_id":"3"})"
+      "\n"
+      R"({"id":5,"op":"lookup","record":{"Title":"gamma delta alpha beta"}})"
+      "\n"
+      R"({"id":6,"op":"stats"})"
+      "\n");
+  std::ostringstream out;
+  ServeLoop loop(fx->service.get(), ServeOptions{}, &out);
+  ASSERT_TRUE(loop.Run(in).ok());
+  auto responses = ParseResponses(out.str());
+  ASSERT_EQ(responses.size(), 6u);
+  for (double id : {1.0, 2.0, 3.0, 4.0}) {
+    const JsonValue* r = FindById(responses, id);
+    ASSERT_NE(r, nullptr) << id;
+    EXPECT_FALSE(r->Find("ok")->bool_value()) << id;
+    EXPECT_EQ(r->Find("error")->string_value(), "InvalidArgument") << id;
+  }
+  const JsonValue* lookup = FindById(responses, 5);
+  ASSERT_NE(lookup, nullptr);
+  bool saw_3 = false;
+  for (const JsonValue& m : lookup->Find("matches")->array_items()) {
+    if (m.Find("record")->number_value() == 3.0) saw_3 = true;
+  }
+  EXPECT_TRUE(saw_3) << "record 3 must stay live";
+  const JsonValue* stats = FindById(responses, 6);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->Find("removes")->number_value(), 0.0);
+  EXPECT_EQ(stats->Find("live_records")->number_value(), 4.0);
+}
+
 // --- admission control -----------------------------------------------------------
 
 // Deterministic saturation: a blocked "serve/handle" failpoint parks the

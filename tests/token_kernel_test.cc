@@ -3,10 +3,13 @@
 // and the prepared vectorize path must all produce BIT-IDENTICAL scores and
 // candidate sets to the legacy string paths — on a randomized corpus
 // including empty, null, all-punctuation, and duplicate-token values, at
-// 1/2/8 threads.
+// 1/2/8 threads. Vectorize's touched-row prep must equal whole-column prep
+// bit for bit on the same corpus, the case study and a scale corpus.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
@@ -19,8 +22,11 @@
 #include "src/block/similarity_join.h"
 #include "src/core/executor.h"
 #include "src/core/strings.h"
+#include "src/datagen/case_study.h"
+#include "src/datagen/scale_corpus.h"
 #include "src/feature/feature_gen.h"
 #include "src/feature/vectorizer.h"
+#include "src/ml/decision_tree.h"
 #include "src/prep/prepared_column.h"
 #include "src/table/table.h"
 #include "src/text/set_similarity.h"
@@ -565,6 +571,332 @@ TEST(WorkflowPrepCacheTest, BlockersShareOneTokenizePassPerColumn) {
 
   wf.ClearPrepCache();
   EXPECT_EQ(wf.prep_cache()->entries(), 0u);
+}
+
+// ---------- vectorize: touched-row prep vs whole-column prep ----------
+
+// Bitwise equality of two doubles, NaN payloads included.
+bool SameBits(double a, double b) {
+  uint64_t x = 0, y = 0;
+  std::memcpy(&x, &a, sizeof x);
+  std::memcpy(&y, &b, sizeof y);
+  return x == y;
+}
+
+// Fills `cache` with the whole column of every (column, prep) family
+// `features` binds on `table`'s side (the left one when `left_side`), as
+// bench_vectorize's WarmCache does.
+void PrefillWholeColumns(const Table& table, const FeatureSet& features,
+                         bool left_side, PrepCache* cache) {
+  for (const Feature& f : features.features) {
+    if (!f.has_prep()) continue;
+    FeaturePrep prep = PrepForFeature(f.prep);
+    auto column = table.ColumnByName(left_side ? f.left_attr : f.right_attr);
+    ASSERT_TRUE(column.ok());
+    cache->Get(**column, prep.options, prep.tokenizer.get());
+  }
+}
+
+// The reference: vectorize through a cache that holds every bound family's
+// whole column, so nothing is prepped per call.
+PairBatch WholeColumnBatch(const Table& left, const Table& right,
+                           const CandidateSet& pairs,
+                           const FeatureSet& features) {
+  PrepCache cache;
+  PrefillWholeColumns(left, features, /*left_side=*/true, &cache);
+  PrefillWholeColumns(right, features, /*left_side=*/false, &cache);
+  Executor pool(1);
+  auto batch = VectorizePairsBatch(left, right, pairs, features,
+                                   ExecutorContext{&pool}, &cache);
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  return batch.ok() ? std::move(*batch) : PairBatch();
+}
+
+void ExpectSameBatch(const PairBatch& want, const PairBatch& got,
+                     const std::string& what) {
+  ASSERT_EQ(got.num_pairs(), want.num_pairs()) << what;
+  ASSERT_EQ(got.num_features(), want.num_features()) << what;
+  size_t mismatches = 0;
+  for (size_t f = 0; f < want.num_features(); ++f) {
+    for (size_t i = 0; i < want.num_pairs(); ++i) {
+      if (SameBits(want.At(i, f), got.At(i, f))) continue;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << what << ": pair " << i << " feature "
+                      << want.feature_names[f] << ": " << want.At(i, f)
+                      << " vs " << got.At(i, f);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+// Touched-row vectorize — no cache, and through `cache` when given — at
+// 1/2/8 threads must equal whole-column vectorize bit for bit, and must
+// leave `cache`'s entries as they were.
+void ExpectTouchedRowsBitIdentical(const Table& left, const Table& right,
+                                   const CandidateSet& pairs,
+                                   const FeatureSet& features,
+                                   const std::string& what,
+                                   PrepCache* cache = nullptr) {
+  const PairBatch want = WholeColumnBatch(left, right, pairs, features);
+  const size_t entries = cache != nullptr ? cache->entries() : 0;
+  for (size_t threads : {1u, 2u, 8u}) {
+    Executor pool(threads);
+    ExecutorContext ctx{&pool};
+    auto got = VectorizePairsBatch(left, right, pairs, features, ctx, cache);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    ExpectSameBatch(want, *got,
+                    what + " threads=" + std::to_string(threads));
+    if (cache != nullptr) {
+      EXPECT_EQ(cache->entries(), entries) << what;
+    }
+  }
+}
+
+struct CaseStudyPairs {
+  ProjectedTables tables;
+  FeatureSet features;
+  CandidateSet original;  // umetrics x usda candidates
+  CandidateSet extra;     // extra x usda candidates
+  CandidateSet labeled;   // the 300 training labels' pairs
+};
+
+const CaseStudyPairs& CaseStudy() {
+  static const CaseStudyPairs& cs = *[] {
+    auto* c = new CaseStudyPairs();
+    CaseStudyData data = std::move(*GenerateCaseStudy());
+    c->tables = std::move(*PreprocessCaseStudy(data));
+    BlockingOutputs original =
+        std::move(*RunStandardBlocking(c->tables.umetrics, c->tables.usda));
+    c->original = original.c;
+    c->extra = RunStandardBlocking(c->tables.extra, c->tables.usda)->c;
+    c->labeled = CollectCorrectedLabels(MakeOracle(data.gold, data.ambiguous),
+                                        original.c, 3, 100, 100)
+                     .Pairs();
+    c->features = std::move(*CaseStudyFeatures(
+        c->tables.umetrics, c->tables.usda, /*case_fix=*/true));
+    return c;
+  }();
+  return cs;
+}
+
+// The case study's 35 features over both branches' candidates and the
+// training labels: each touches a subset of the rows on both sides.
+TEST(VectorizeRowSubsetTest, CaseStudyBitIdenticalAt128Threads) {
+  const CaseStudyPairs& cs = CaseStudy();
+  ASSERT_EQ(cs.labeled.size(), 300u);
+  ExpectTouchedRowsBitIdentical(cs.tables.umetrics, cs.tables.usda,
+                                cs.original, cs.features, "original");
+  ExpectTouchedRowsBitIdentical(cs.tables.extra, cs.tables.usda, cs.extra,
+                                cs.features, "extra");
+  ExpectTouchedRowsBitIdentical(cs.tables.umetrics, cs.tables.usda,
+                                cs.labeled, cs.features, "labels");
+}
+
+// An SF-2 scale corpus's auto features over its title blockers'
+// candidates.
+TEST(VectorizeRowSubsetTest, ScaleCorpusBitIdenticalAt128Threads) {
+  ScaleCorpusOptions options;
+  options.scale_factor = 2;
+  auto corpus = GenerateScaleCorpus(options);
+  ASSERT_TRUE(corpus.ok());
+  FeatureGenOptions gen;
+  gen.exclude = {"RecordId"};
+  gen.lowercase_variants = {"AwardTitle"};
+  auto features = GenerateFeatures(corpus->left, corpus->right, gen);
+  ASSERT_TRUE(features.ok());
+  OverlapBlockerOptions opts;
+  opts.left_attr = "AwardTitle";
+  opts.right_attr = "AwardTitle";
+  opts.lowercase = true;
+  auto pairs = OverlapBlocker(opts, 3).Block(corpus->left, corpus->right);
+  ASSERT_TRUE(pairs.ok());
+  ASSERT_GT(pairs->size(), 0u);
+  ExpectTouchedRowsBitIdentical(corpus->left, corpus->right, *pairs,
+                                *features, "sf2");
+}
+
+// The random-corpus feature set (null, empty, punctuation-only and
+// duplicate-token cells) with two Value-fn features mixed in.
+FeatureSet MixedFeatures(const Table& left, const Table& right) {
+  FeatureGenOptions gen;
+  gen.exclude = {"id"};
+  gen.lowercase_variants = {"title"};
+  FeatureSet features = std::move(*GenerateFeatures(left, right, gen));
+  features.features.insert(features.features.begin() + 1,
+                           MakeYearDiffFeature("date", "date"));
+  features.features.push_back(MakeAbsDiffFeature("amount", "amount"));
+  return features;
+}
+
+TEST(VectorizeRowSubsetTest, EmptyPairSet) {
+  Table left = RandomTable(40, 71);
+  Table right = RandomTable(40, 72);
+  FeatureSet features = MixedFeatures(left, right);
+  PrepCache cache;
+  auto batch = VectorizePairsBatch(left, right, CandidateSet(), features, {},
+                                   &cache);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->num_pairs(), 0u);
+  EXPECT_EQ(batch->num_features(), features.features.size());
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.interned_tokens(), 0u);  // nothing was prepped
+}
+
+TEST(VectorizeRowSubsetTest, PairsThatAllTouchOneRow) {
+  Table left = RandomTable(40, 73);
+  Table right = RandomTable(50, 74);
+  FeatureSet features = MixedFeatures(left, right);
+  std::vector<RecordPair> one_left, one_right;
+  for (uint32_t r = 0; r < 50; ++r) one_left.push_back({7, r});
+  for (uint32_t l = 0; l < 40; ++l) one_right.push_back({l, 11});
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(one_left), features,
+                                "one left row");
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(one_right),
+                                features, "one right row");
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet({{39, 49}}),
+                                features, "one pair");
+}
+
+// One table on both sides binds one column storage twice: the family
+// preps the union of both sides' rows.
+TEST(VectorizeRowSubsetTest, LeftAndRightAreTheSameTable) {
+  Table table = RandomTable(60, 75);
+  FeatureSet features = MixedFeatures(table, table);
+  std::vector<RecordPair> pairs;
+  for (uint32_t l = 0; l < 20; ++l) {
+    for (uint32_t r = 30; r < 60; r += 4) pairs.push_back({l, r});
+  }
+  pairs.push_back({45, 3});  // rows on both sides of the split
+  ExpectTouchedRowsBitIdentical(table, table, CandidateSet(pairs), features,
+                                "self-join");
+}
+
+TEST(VectorizeRowSubsetTest, AllNullColumn) {
+  Table left = RandomTable(30, 76);
+  Schema schema({{"id", DataType::kInt64},
+                 {"title", DataType::kAny},
+                 {"amount", DataType::kAny},
+                 {"date", DataType::kString}});
+  Table right(schema);
+  for (int64_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(right
+                    .AppendRow({Value(i), Value::Null(), Value::Null(),
+                                Value::Null()})
+                    .ok());
+  }
+  FeatureSet features = MixedFeatures(left, left);
+  std::vector<RecordPair> pairs;
+  for (uint32_t l = 0; l < 30; l += 2) pairs.push_back({l, 29 - l});
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(pairs), features,
+                                "null right");
+  ExpectTouchedRowsBitIdentical(right, left, CandidateSet(pairs), features,
+                                "null left");
+}
+
+TEST(VectorizeRowSubsetTest, ValueFnFeatureMixedIn) {
+  Table left = RandomTable(50, 77);
+  Table right = RandomTable(50, 78);
+  FeatureSet features = MixedFeatures(left, right);
+  size_t value_fn = 0;
+  for (const Feature& f : features.features) value_fn += !f.has_prep();
+  ASSERT_GE(value_fn, 2u);
+  std::vector<RecordPair> pairs;
+  for (uint32_t l = 0; l < 50; l += 3) {
+    for (uint32_t r = 1; r < 50; r += 5) pairs.push_back({l, r});
+  }
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(pairs), features,
+                                "mixed");
+}
+
+// A cache holding only the left side's whole columns: the left binds them,
+// the right preps its touched rows through the same interner, and neither
+// enters the cache.
+TEST(VectorizeRowSubsetTest, CacheHoldsOnlyOneSidesWholeColumn) {
+  Table left = RandomTable(50, 79);
+  Table right = RandomTable(50, 80);
+  FeatureSet features = MixedFeatures(left, right);
+  std::vector<RecordPair> pairs;
+  for (uint32_t l = 0; l < 50; l += 2) {
+    for (uint32_t r = 0; r < 50; r += 7) pairs.push_back({l, r});
+  }
+  PrepCache cache;
+  PrefillWholeColumns(left, features, /*left_side=*/true, &cache);
+  ASSERT_GT(cache.entries(), 0u);
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(pairs), features,
+                                "left cached", &cache);
+  PrepCache right_only;
+  PrefillWholeColumns(right, features, /*left_side=*/false, &right_only);
+  ExpectTouchedRowsBitIdentical(left, right, CandidateSet(pairs), features,
+                                "right cached", &right_only);
+}
+
+// A workflow run with a matcher leaves only the blockers' whole columns in
+// its cache; a later whole-column Get of a family the matcher's features
+// bound preps every row, and a run on a cache pre-filled with the
+// features' whole columns decides the same matches.
+TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
+  Table left = RandomTable(80, 81);
+  Table right = RandomTable(80, 82);
+  OverlapBlockerOptions opts;
+  opts.left_attr = "title";
+  opts.right_attr = "title";
+  FeatureSet features;
+  features.features.push_back(MakeJaccardFeature("title", "title", 0, true));
+  features.features.push_back(MakeMongeElkanFeature("title", "title"));
+  features.features.push_back(MakeLevenshteinFeature("title", "title"));
+  Dataset d;
+  d.feature_names = features.names();
+  d.x = {{1.0, 1.0, 1.0}, {0.7, 0.9, 0.8}, {0.2, 0.5, 0.3}, {0.0, 0.1, 0.1}};
+  d.y = {1, 1, 0, 0};
+  auto tree = std::make_shared<DecisionTreeMatcher>();
+  ASSERT_TRUE(tree->Fit(d).ok());
+  FeatureMatrix m;
+  m.feature_names = d.feature_names;
+  m.rows = d.x;
+  MeanImputer imputer;
+  imputer.Fit(m);
+  auto make_workflow = [&] {
+    EmWorkflow wf;
+    wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 2));
+    wf.AddBlocker(std::make_shared<OverlapCoefficientBlocker>(opts, 0.8));
+    wf.SetMatcher(tree, features, imputer);
+    return wf;
+  };
+
+  EmWorkflow wf = make_workflow();
+  auto run = wf.Run(left, right);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_GT(run->ml_input.size(), 0u);
+  EXPECT_EQ(wf.prep_cache()->entries(), 2u);  // the blockers' two columns
+
+  const std::vector<Value>& title = **left.ColumnByName("title");
+  FeaturePrep prep = PrepForFeature(features.features[0].prep);
+  auto got = wf.prep_cache()->Get(title, prep.options, prep.tokenizer.get());
+  PrepCache fresh;
+  auto want = fresh.Get(title, prep.options, prep.tokenizer.get());
+  ASSERT_EQ(got->rows(), want->rows());
+  for (size_t r = 0; r < want->rows(); ++r) {
+    EXPECT_EQ(got->is_null(r), want->is_null(r)) << "row " << r;
+    EXPECT_EQ(got->text(r), want->text(r)) << "row " << r;
+    size_t ng = 0, nw = 0;
+    const std::string_view* tg = got->tokens(r, &ng);
+    const std::string_view* tw = want->tokens(r, &nw);
+    EXPECT_EQ(std::vector<std::string_view>(tg, tg + ng),
+              std::vector<std::string_view>(tw, tw + nw))
+        << "row " << r;
+  }
+  EXPECT_EQ(wf.prep_cache()->entries(), 3u);
+
+  EmWorkflow warm = make_workflow();
+  PrefillWholeColumns(left, features, /*left_side=*/true,
+                      warm.prep_cache().get());
+  PrefillWholeColumns(right, features, /*left_side=*/false,
+                      warm.prep_cache().get());
+  auto warm_run = warm.Run(left, right);
+  ASSERT_TRUE(warm_run.ok());
+  EXPECT_TRUE(warm_run->ml_predicted == run->ml_predicted);
+  EXPECT_TRUE(warm_run->final_matches == run->final_matches);
 }
 
 }  // namespace
