@@ -44,7 +44,6 @@
 #include "src/feature/vectorizer.h"
 #include "src/prep/prepared_column.h"
 #include "src/table/table.h"
-#include "src/text/tokenizer.h"
 
 namespace {
 
@@ -71,17 +70,9 @@ void WarmCache(const Table& left, const Table& right, const FeatureSet& features
     auto lcol = left.ColumnByName(f.left_attr);
     auto rcol = right.ColumnByName(f.right_attr);
     if (!lcol.ok() || !rcol.ok()) std::abort();
-    std::unique_ptr<Tokenizer> tok;
-    if (f.prep.tokenize) {
-      if (f.prep.qgram > 0) {
-        tok = std::make_unique<QgramTokenizer>(f.prep.qgram);
-      } else {
-        tok = std::make_unique<WhitespaceTokenizer>();
-      }
-    }
-    PrepOptions opts{f.prep.lowercase, /*strip_punctuation=*/false};
-    cache->Get(**lcol, opts, tok.get());
-    cache->Get(**rcol, opts, tok.get());
+    FeaturePrep prep = PrepForFeature(f.prep);
+    cache->Get(**lcol, prep.options, prep.tokenizer.get());
+    cache->Get(**rcol, prep.options, prep.tokenizer.get());
   }
 }
 

@@ -261,8 +261,10 @@ Feature MakeOverlapCoefficientFeature(const std::string& left_attr,
 Feature MakeMongeElkanFeature(const std::string& left_attr,
                               const std::string& right_attr, bool lowercase) {
   // Monge-Elkan needs the token STRINGS (it runs Jaro-Winkler between
-  // tokens), so its prepared path reads the column's token views — kept in
-  // tokenizer-emission order, which preserves the legacy summation order.
+  // tokens), so its prepared path reads the column's token rows: views,
+  // ids and signatures in tokenizer-emission order, which preserves the
+  // legacy summation order (PrepForFeature preps word tokens with
+  // signatures).
   Feature f;
   f.name = FeatName(left_attr, "mel", lowercase);
   f.left_attr = left_attr;
@@ -279,19 +281,7 @@ Feature MakeMongeElkanFeature(const std::string& left_attr,
   f.prep_fn = [](const PreparedColumn& lc, size_t i, const PreparedColumn& rc,
                  size_t j) -> double {
     if (lc.is_null(i) || rc.is_null(j)) return kNaN;
-    size_t na = 0, nb = 0;
-    const std::string_view* ta = lc.tokens(i, &na);
-    const std::string_view* tb = rc.tokens(j, &nb);
-    if (lc.interner_uid() == rc.interner_uid()) {
-      // Same interner (same PrepCache, the documented contract): memoize
-      // the token-level Jaro-Winkler by id pair — bit-identical, just not
-      // recomputed for every candidate pair sharing a record.
-      size_t ia = 0, ib = 0;
-      return MongeElkanSimilarityMemo(ta, lc.emission_ids(i, &ia), na, tb,
-                                      rc.emission_ids(j, &ib), nb,
-                                      lc.interner_uid());
-    }
-    return MongeElkanSimilarity(ta, na, tb, nb);
+    return MongeElkanSimilarity(lc.token_row(i), rc.token_row(j));
   };
   return f;
 }

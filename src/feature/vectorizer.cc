@@ -15,11 +15,14 @@ namespace emx {
 
 FeaturePrep PrepForFeature(const FeaturePrepSpec& spec) {
   FeaturePrep out;
-  out.options = {spec.lowercase, /*strip_punctuation=*/false};
+  out.options = {spec.lowercase, /*strip_punctuation=*/false,
+                 /*token_signatures=*/false};
   if (spec.tokenize && spec.qgram > 0) {
     out.tokenizer = std::make_shared<QgramTokenizer>(spec.qgram);
   } else if (spec.tokenize) {
+    // Word tokens: Monge-Elkan reads their signatures.
     out.tokenizer = std::make_shared<WhitespaceTokenizer>();
+    out.options.token_signatures = true;
   }
   return out;
 }

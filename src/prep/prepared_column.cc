@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/core/strings.h"
-#include "src/text/set_similarity.h"
 
 namespace emx {
 
@@ -85,6 +84,9 @@ void PreparedColumn::Append(const Value& value, const PrepOptions& options,
         }
         emit_ids_.push_back(id);
         token_store_.push_back(interner->TokenString(id));
+        if (options.token_signatures) {
+          signature_store_.push_back(interner->Signature(id));
+        }
       }
       // Sorted for the merge kernels; duplicates (non-unique tokenizers
       // only) are preserved so the blockers' per-occurrence probe counts
@@ -157,14 +159,8 @@ std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
 }
 
 void PrepCache::Clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.clear();
-  }
-  // Token ids handed out by our interner may sit in the per-thread
-  // Monge-Elkan memo; dropping the prepared columns invalidates the memo's
-  // usefulness, so flush it rather than letting stale entries pin memory.
-  ClearMongeElkanMemo();
+  std::lock_guard<std::mutex> lock(mu_);
+  cache_.clear();
 }
 
 size_t PrepCache::entries() const {

@@ -19,13 +19,21 @@ namespace emx {
 // scoring. Mirrors the two prep pipelines in the codebase: features
 // lowercase only (feature.cc's Prep), blockers lowercase AND strip
 // punctuation (OverlapBlockerOptions).
+// `token_signatures` also gives each token of a tokenized column its
+// interner-owned TokenSignature, which Monge-Elkan's kernel reads; feature
+// columns of word tokens set it (PrepForFeature), q-gram and blocker
+// columns do not pay for it.
 struct PrepOptions {
   bool lowercase = false;
   bool strip_punctuation = false;
+  bool token_signatures = false;
 
   friend bool operator<(const PrepOptions& a, const PrepOptions& b) {
     if (a.lowercase != b.lowercase) return a.lowercase < b.lowercase;
-    return a.strip_punctuation < b.strip_punctuation;
+    if (a.strip_punctuation != b.strip_punctuation) {
+      return a.strip_punctuation < b.strip_punctuation;
+    }
+    return a.token_signatures < b.token_signatures;
   }
 };
 
@@ -37,9 +45,10 @@ struct PrepOptions {
 // SORTED span of token ids in a flat arena for the merge-based set
 // kernels. Token ids come from the owning PrepCache's interner, so spans
 // from any two columns of the same cache are directly comparable. Each
-// token is a view of the interner's string for its id; the column shares
-// ownership of the interner, so the views stay valid for the column's
-// lifetime.
+// token is a view of the interner's string for its id, and, when prepped
+// with token_signatures, comes with a pointer to the interner's signature
+// for it; the column shares ownership of the interner, so views and
+// pointers stay valid for the column's lifetime.
 //
 // Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
@@ -65,7 +74,7 @@ class PreparedColumn {
   // Preps one more row, exactly as the constructor preps each row.
   // `options`, `tokenizer` (null or not) and `interner` must be the ones
   // the column was built with. Appending may move storage that ids(),
-  // text() and tokens() returned, so no reader may run concurrently.
+  // text() and token_row() returned, so no reader may run concurrently.
   void Append(const Value& value, const PrepOptions& options,
               const Tokenizer* tokenizer, TokenInterner* interner);
 
@@ -81,27 +90,17 @@ class PreparedColumn {
             offsets_[row + 1] - offsets_[row]};
   }
 
-  // Tokens of a row in tokenizer-emission order, as views of the
-  // interner's strings; `*count` receives the token count. Contiguous, so
-  // callers can pass (ptr, count) straight to the Monge-Elkan span
-  // overloads.
-  const std::string_view* tokens(size_t row, size_t* count) const {
-    *count = offsets_[row + 1] - offsets_[row];
-    return token_store_.data() + offsets_[row];
+  // A row's tokens in tokenizer-emission order, as views of the interner's
+  // strings, with their ids and signatures (parallel arrays, contiguous:
+  // Monge-Elkan's kernel reads them directly). `signatures` is null unless
+  // the column was prepped with token_signatures.
+  TokenRow token_row(size_t row) const {
+    const uint32_t first = offsets_[row];
+    return {token_store_.data() + first, emit_ids_.data() + first,
+            signature_store_.empty() ? nullptr
+                                     : signature_store_.data() + first,
+            offsets_[row + 1] - first};
   }
-
-  // Token ids of a row in tokenizer-EMISSION order, parallel to tokens():
-  // emission_ids(row)[k] is the id of tokens(row)[k]. Lets order-sensitive
-  // scorers key per-token-pair memos by id while still summing in the
-  // legacy order.
-  const uint32_t* emission_ids(size_t row, size_t* count) const {
-    *count = offsets_[row + 1] - offsets_[row];
-    return emit_ids_.data() + offsets_[row];
-  }
-
-  // uid() of the interner the ids were assigned by; columns from the same
-  // PrepCache share it. See TokenInterner::uid().
-  uint64_t interner_uid() const { return interner_->uid(); }
 
   bool tokenized() const { return tokenized_; }
 
@@ -110,10 +109,11 @@ class PreparedColumn {
   std::shared_ptr<const TokenInterner> interner_;  // owns the token strings
   std::vector<uint8_t> null_;
   std::vector<std::string> text_;
-  // The three token arrays are parallel: row r owns [offsets_[r],
-  // offsets_[r + 1]) of each.
+  // The token arrays are parallel: row r owns [offsets_[r],
+  // offsets_[r + 1]) of each (of signature_store_ only when it is filled).
   std::vector<std::string_view> token_store_;  // emission order
   std::vector<uint32_t> emit_ids_;             // emission order
+  std::vector<const TokenSignature*> signature_store_;  // emission order
   std::vector<uint32_t> id_arena_;             // each row's run sorted
   std::vector<uint32_t> offsets_;              // rows+1
 };

@@ -33,6 +33,7 @@ std::string SpecKey(const std::string& attr, const PrepOptions& opts,
   std::string key = attr;
   key += opts.lowercase ? "|lc" : "|-";
   key += opts.strip_punctuation ? "|sp" : "|-";
+  key += opts.token_signatures ? "|sig" : "|-";
   key += '|';
   if (tokenizer != nullptr) {
     key += tokenizer->name() + (tokenizer->unique() ? "/u" : "/b");

@@ -102,9 +102,8 @@ struct MatchServiceStats {
 // Ownership keeps prep work resident: the service holds its OWN PrepCache
 // (never shared with a PipelineRunner, whose per-run Clear() would drop
 // prepped state mid-service — see DESIGN.md §12) and its own corpus
-// prepared columns, so even an unrelated in-process batch run that
-// flushes the global Monge-Elkan memo generation costs the service only
-// warm-up, never correctness or re-prep.
+// prepared columns, so an unrelated in-process batch run costs the service
+// neither correctness nor re-prep.
 //
 // Thread-safety: any number of concurrent Lookups (shared lock); Insert /
 // Remove / Compact take the exclusive lock. Stats() is safe concurrently

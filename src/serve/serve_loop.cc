@@ -19,10 +19,13 @@ Value JsonToValue(const JsonValue& v) {
     case JsonValue::Kind::kBool:
       return Value(static_cast<int64_t>(v.bool_value() ? 1 : 0));
     case JsonValue::Kind::kNumber: {
-      double d = v.number_value();
-      // Integral numbers land as int64 so equality rules see the same
-      // values a CSV load would have produced.
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
+      const double d = v.number_value();
+      // Integral numbers in [-2^63, 2^63) land as int64 so equality rules
+      // see the same values a CSV load would have produced. Anything else
+      // (fractions, magnitudes past int64, NaN) stays a double: casting it
+      // would be an out-of-range conversion.
+      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+          d == std::floor(d)) {
         return Value(static_cast<int64_t>(d));
       }
       return Value(d);

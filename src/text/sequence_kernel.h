@@ -24,7 +24,7 @@ namespace emx {
 //    on the same scratch (no pointers may be retained across calls).
 //  - Kernels never call other scratch-backed kernels while holding a lane
 //    (Jaro-Winkler wraps Jaro, but takes no buffer of its own; Monge-Elkan
-//    calls Jaro-Winkler between its own scratch-free bookkeeping).
+//    keeps its bookkeeping in its own thread-local scratch, never here).
 //  - One scratch per thread: Tls() hands out a thread_local instance, so the
 //    kernels are safe to call from any number of executor threads without
 //    locking, and the arena's high-water mark is per thread.

@@ -1,10 +1,13 @@
 #include "src/text/set_similarity.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "src/text/sequence_similarity.h"
 
@@ -176,75 +179,200 @@ double MongeElkanSimilarity(const std::string_view* a, size_t na,
 
 namespace {
 
-// Thread-local token-pair Jaro-Winkler memo for MongeElkanSimilarityMemo.
-// Keyed by the ids' interner uid: a lookup against a different interner
-// resets the table (ids are only comparable within one interner). Bounded
-// by kMongeElkanMemoMaxEntries — a pathological vocabulary flushes the
-// table instead of growing forever — and generation-stamped so
-// ClearMongeElkanMemo() can flush every thread's table lazily.
-std::atomic<uint64_t> g_memo_generation{0};
-
-struct JwMemo {
-  uint64_t interner_uid = 0;
-  uint64_t generation = 0;
-  std::unordered_map<uint64_t, double> scores;  // (aid << 32 | bid) -> jw
-};
-
-double MemoizedJw(JwMemo& memo, std::string_view a, uint32_t aid,
-                  std::string_view b, uint32_t bid) {
-  const uint64_t key = (static_cast<uint64_t>(aid) << 32) | bid;
-  auto it = memo.scores.find(key);
-  if (it != memo.scores.end()) return it->second;
-  double v = JaroWinklerSimilarity(a, b);
-  memo.scores.emplace(key, v);
-  return v;
+// Sum over the 64 buckets of min(x.histogram[k], y.histogram[k]).
+uint32_t HistogramOverlap(const TokenSignature& x, const TokenSignature& y) {
+#if defined(__SSE2__)
+  __m128i sum = _mm_setzero_si128();
+  for (int k = 0; k < 64; k += 16) {
+    const __m128i low = _mm_min_epu8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x.histogram + k)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y.histogram + k)));
+    sum = _mm_add_epi64(sum, _mm_sad_epu8(low, _mm_setzero_si128()));
+  }
+  return static_cast<uint32_t>(_mm_cvtsi128_si64(sum) +
+                               _mm_cvtsi128_si64(_mm_unpackhi_epi64(sum, sum)));
+#else
+  uint32_t sum = 0;
+  for (int k = 0; k < 64; ++k) sum += std::min(x.histogram[k], y.histogram[k]);
+  return sum;
+#endif
 }
 
-double MongeElkanAsymmetricMemo(JwMemo& memo, const std::string_view* a,
-                                const uint32_t* aid, size_t na,
-                                const std::string_view* b, const uint32_t* bid,
-                                size_t nb) {
-  if (na == 0) return nb == 0 ? 1.0 : 0.0;
-  if (nb == 0) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < na; ++i) {
-    double best = 0.0;
-    for (size_t j = 0; j < nb; ++j) {
-      best = std::max(best, MemoizedJw(memo, a[i], aid[i], b[j], bid[j]));
+// JaroWinklerSimilarity's prefix length: equal leading bytes, at most 4.
+uint32_t SharedPrefix(const TokenSignature& x, const TokenSignature& y) {
+  const uint32_t diff = x.prefix ^ y.prefix;
+  const uint32_t equal =
+      diff == 0 ? 4 : static_cast<uint32_t>(__builtin_ctz(diff)) / 8;
+  return std::min({equal, x.length, y.length});
+}
+
+// JaroWinklerUpperBound with each token's 1/length precomputed (0 for an
+// empty token).
+double Bound(const TokenSignature& x, double inverse_x, const TokenSignature& y,
+             double inverse_y) {
+  if (x.length == 0 || y.length == 0) return x.length == y.length ? 1.0 : 0.0;
+  if ((x.mask & y.mask) == 0) return 0.0;
+  uint32_t m = std::min(x.length, y.length);
+  // A bucket count saturates only in a token of 255 bytes or more. When the
+  // shorter token is below that, its counts are exact and each minimum is
+  // too; otherwise the lengths alone bound m.
+  if (m < 255) m = std::min(m, HistogramOverlap(x, y));
+  // (m/|x| + m/|y| + 1)/3 through reciprocals: a few ulps off, far inside
+  // the margin.
+  const double jaro = (m * (inverse_x + inverse_y) + 1.0) * (1.0 / 3.0);
+  return jaro + SharedPrefix(x, y) * 0.1 * (1.0 - jaro) + 1e-12;
+}
+
+double InverseLength(size_t length) {
+  return length == 0 ? 0.0 : 1.0 / static_cast<double>(length);
+}
+
+// One token of the other side in Monge-Elkan's visit order.
+struct Candidate {
+  double bound;
+  uint32_t index;
+};
+
+// Per-thread scratch of the kernel, grown to the largest rows seen. `held`
+// and `inverse` hold a's tokens at [0, na) and b's at [na, na + nb).
+struct KernelScratch {
+  std::vector<uint8_t> held;    // the token's id occurs on the other side
+  std::vector<double> inverse;  // InverseLength of the token
+  std::vector<double> bounds;   // [i * nb + j]: Bound of (a_i, b_j)
+  std::vector<Candidate> visit;
+};
+
+// max over k < n of JaroWinklerSimilarity(x, others[k]), given
+// bounds[k * stride] >= that score. Tokens are scored in descending order
+// of bound, and the first bound <= the running best ends the scan: no later
+// token can beat it. The top-bound token usually settles it, so it is found
+// by one pass, and only the tokens whose bound beats its score are sorted.
+double BestMatch(std::string_view x, const std::string_view* others,
+                 const double* bounds, size_t stride, size_t n,
+                 std::vector<Candidate>* visit) {
+  size_t top = n;
+  double top_bound = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    if (bounds[k * stride] > top_bound) {
+      top_bound = bounds[k * stride];
+      top = k;
     }
-    sum += best;
   }
-  return sum / static_cast<double>(na);
+  if (top == n) return 0.0;
+  double best = TokenJaroWinkler(x, others[top]);
+  visit->clear();
+  for (size_t k = 0; k < n; ++k) {
+    const double bound = bounds[k * stride];
+    if (k != top && bound > best) {
+      visit->push_back({bound, static_cast<uint32_t>(k)});
+    }
+  }
+  std::sort(visit->begin(), visit->end(),
+            [](const Candidate& p, const Candidate& q) {
+              return p.bound > q.bound;
+            });
+  for (const Candidate& c : *visit) {
+    if (c.bound <= best) break;
+    best = std::max(best, TokenJaroWinkler(x, others[c.index]));
+  }
+  return best;
 }
 
 }  // namespace
 
-double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
-                                size_t na, const std::string_view* b,
-                                const uint32_t* bid, size_t nb,
-                                uint64_t interner_uid) {
-  thread_local JwMemo memo;
-  const uint64_t generation =
-      g_memo_generation.load(std::memory_order_relaxed);
-  if (memo.interner_uid != interner_uid || memo.generation != generation ||
-      memo.scores.size() > kMongeElkanMemoMaxEntries) {
-    memo.interner_uid = interner_uid;
-    memo.generation = generation;
-    memo.scores.clear();
+double MongeElkanSimilarity(const TokenRow& a, const TokenRow& b) {
+  const size_t na = a.size, nb = b.size;
+  if (na == 0 || nb == 0) {
+    return MongeElkanSimilarity(a.tokens, na, b.tokens, nb);
   }
-  // Directional keys on purpose: the reverse direction scores jw(b_j, a_i),
-  // stored under (bid << 32 | aid), so no symmetry assumption about the
-  // Jaro-Winkler implementation is baked into the memo.
-  return 0.5 * (MongeElkanAsymmetricMemo(memo, a, aid, na, b, bid, nb) +
-                MongeElkanAsymmetricMemo(memo, b, bid, nb, a, aid, na));
+  thread_local KernelScratch s;
+  s.held.assign(na + nb, 0);
+  for (size_t i = 0; i < na; ++i) {
+    for (size_t j = 0; j < nb; ++j) {
+      if (a.ids[i] == b.ids[j]) s.held[i] = s.held[na + j] = 1;
+    }
+  }
+  s.inverse.resize(na + nb);
+  for (size_t i = 0; i < na; ++i) {
+    s.inverse[i] = InverseLength(a.tokens[i].size());
+  }
+  for (size_t j = 0; j < nb; ++j) {
+    s.inverse[na + j] = InverseLength(b.tokens[j].size());
+  }
+  // The bound is symmetric, so one matrix serves both directions. A cell
+  // whose tokens are both held is read by neither.
+  s.bounds.resize(na * nb);
+  for (size_t i = 0; i < na; ++i) {
+    for (size_t j = 0; j < nb; ++j) {
+      if (s.held[i] && s.held[na + j]) continue;
+      s.bounds[i * nb + j] = Bound(*a.signatures[i], s.inverse[i],
+                                   *b.signatures[j], s.inverse[na + j]);
+    }
+  }
+  double ab = 0.0;
+  for (size_t i = 0; i < na; ++i) {
+    ab += s.held[i] ? 1.0
+                    : BestMatch(a.tokens[i], b.tokens, &s.bounds[i * nb], 1,
+                                nb, &s.visit);
+  }
+  double ba = 0.0;
+  for (size_t j = 0; j < nb; ++j) {
+    ba += s.held[na + j] ? 1.0
+                         : BestMatch(b.tokens[j], a.tokens, &s.bounds[j], nb,
+                                     na, &s.visit);
+  }
+  return 0.5 * (ab / static_cast<double>(na) + ba / static_cast<double>(nb));
 }
 
-void ClearMongeElkanMemo() {
-  g_memo_generation.fetch_add(1, std::memory_order_relaxed);
+double JaroWinklerUpperBound(const TokenSignature& x,
+                             const TokenSignature& y) {
+  return Bound(x, InverseLength(x.length), y, InverseLength(y.length));
 }
 
-uint64_t MongeElkanMemoGeneration() {
-  return g_memo_generation.load(std::memory_order_relaxed);
+double TokenJaroWinkler(std::string_view a, std::string_view b) {
+  const size_t la = a.size(), lb = b.size();
+  if (la == 0 || lb == 0 || la > 64 || lb > 64) {
+    return JaroWinklerSimilarity(a, b);
+  }
+  // Position masks of b's bytes; all zero between calls.
+  thread_local uint64_t pm[256] = {};
+  for (size_t j = 0; j < lb; ++j) {
+    pm[static_cast<uint8_t>(b[j])] |= uint64_t{1} << j;
+  }
+  auto below = [](size_t k) {
+    return k >= 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
+  };
+  // JaroSimilarity's window, and its scan as bit operations.
+  const int window = std::max(0, static_cast<int>(std::max(la, lb)) / 2 - 1);
+  uint64_t a_matched = 0, b_matched = 0;
+  int matches = 0;
+  for (size_t i = 0; i < la; ++i) {
+    const size_t lo = (static_cast<int>(i) > window) ? i - window : 0;
+    const size_t hi = std::min(lb, i + window + 1);
+    const uint64_t hits = pm[static_cast<uint8_t>(a[i])] & ~b_matched &
+                          below(hi) & ~below(lo);
+    if (hits != 0) {
+      b_matched |= hits & (~hits + 1);
+      a_matched |= uint64_t{1} << i;
+      ++matches;
+    }
+  }
+  for (size_t j = 0; j < lb; ++j) pm[static_cast<uint8_t>(b[j])] = 0;
+  double jaro = 0.0;
+  if (matches != 0) {
+    // Matched bytes of a and of b, each in order.
+    int transpositions = 0;
+    for (uint64_t x = a_matched, y = b_matched; x != 0;
+         x &= x - 1, y &= y - 1) {
+      if (a[__builtin_ctzll(x)] != b[__builtin_ctzll(y)]) ++transpositions;
+    }
+    double m = matches;
+    jaro = (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+  }
+  size_t prefix = 0;
+  const size_t limit = std::min({la, lb, static_cast<size_t>(4)});
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
 }
 
 double MongeElkanAsymmetric(const std::vector<std::string>& a,

@@ -72,40 +72,36 @@ double MongeElkanAsymmetric(const std::string_view* a, size_t na,
 double MongeElkanSimilarity(const std::string_view* a, size_t na,
                             const std::string_view* b, size_t nb);
 
-// As the span form, but with the tokens' interner ids (`aid[i]` is the id
-// of `a[i]`) so the inner token-level Jaro-Winkler calls are memoized per
-// (interner_uid, left id, right id) in a thread-local table. A memo hit
-// returns the exact double the miss computed from the same two strings, and
-// the summation order is untouched, so results stay bit-identical to the
-// unmemoized forms — this only removes the re-scoring of the same token
-// pair across the thousands of candidate pairs that share records.
-// `interner_uid` must be TokenInterner::uid() of the interner that assigned
-// BOTH sides' ids (PreparedColumn::interner_uid()).
-double MongeElkanSimilarityMemo(const std::string_view* a, const uint32_t* aid,
-                                size_t na, const std::string_view* b,
-                                const uint32_t* bid, size_t nb,
-                                uint64_t interner_uid);
+// The production form, over rows whose ids come from one interner and
+// whose signatures were built at prep (PreparedColumn::token_row). Exact,
+// keeping nothing between calls but per-thread scratch; bit-identical to
+// the span form above, which stays the oracle. For each token a_i of one
+// side, in emission order:
+//  - a_i whose id occurs on the other side scores 1.0, which is exactly
+//    JW of two equal strings and no JW exceeds it;
+//  - otherwise the other side's tokens are visited in descending order of
+//    JaroWinklerUpperBound, scored with TokenJaroWinkler, and the visit
+//    stops at the first bound <= the running best, which no later token
+//    can beat.
+// The best scores are summed in emission order, and a max does not depend
+// on the order it is taken in, so every double matches the span form.
+double MongeElkanSimilarity(const TokenRow& a, const TokenRow& b);
 
-// Hard cap on entries in each thread's Jaro-Winkler memo. When a lookup
-// finds the table above the cap it is flushed before inserting — a
-// pathological vocabulary (e.g. every row a unique long token) costs
-// re-scoring, never unbounded memory.
-inline constexpr size_t kMongeElkanMemoMaxEntries = size_t{1} << 20;
+// An upper bound on JaroWinklerSimilarity(x, y) for any x, y with these
+// signatures, in either argument order. Jaro is at most
+// (m/|x| + m/|y| + 1)/3, where the match count m is at most min(|x|, |y|)
+// and at most the histograms' summed per-bucket minima; disjoint masks mean
+// no match at all (JW = 0). The Winkler term uses the exact common prefix
+// (up to 4), and a 1e-12 margin covers rounding.
+double JaroWinklerUpperBound(const TokenSignature& x, const TokenSignature& y);
 
-// Flushes every thread's Jaro-Winkler memo (lazily: each thread drops its
-// table on its next MongeElkanSimilarityMemo call). PrepCache::Clear() calls
-// this so memo entries never outlive the prepared columns whose interner
-// assigned their ids. Safe to call concurrently with scoring — in-flight
-// calls finish against whichever generation they started with, and scores
-// are identical either way.
-void ClearMongeElkanMemo();
-
-// The memo's current generation counter (bumped by every
-// ClearMongeElkanMemo). Observability hook: MatchService's tests use it to
-// prove which code paths flush the memo — a batch PipelineRunner::Run in
-// the same process bumps it (its per-run PrepCache::Clear), while service
-// lookups never do.
-uint64_t MongeElkanMemoGeneration();
+// JaroWinklerSimilarity(a, b), bit for bit. Tokens of at most 64 bytes run
+// a bit-parallel match scan: with a per-byte position mask PM of b, the
+// scalar scan's first unmatched equal byte in a[i]'s window is the lowest
+// set bit of PM[a[i]] & ~matched & window, so the match and transposition
+// counts, and the double built from them, are the scalar ones. Longer
+// tokens call JaroWinklerSimilarity.
+double TokenJaroWinkler(std::string_view a, std::string_view b);
 
 // TF-IDF weighted cosine over a fixed corpus vocabulary. Build once from all
 // strings of both tables, then score token vectors. Unknown tokens get

@@ -1,13 +1,24 @@
 #include "src/text/token_interner.h"
 
-#include <atomic>
+#include <algorithm>
 #include <functional>
 
 namespace emx {
 
-uint64_t TokenInterner::NextUid() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+TokenSignature MakeTokenSignature(std::string_view token) {
+  TokenSignature sig{};
+  for (char c : token) {
+    uint8_t& count = sig.histogram[static_cast<uint8_t>(c) & 63];
+    if (count < 255) ++count;
+    sig.mask |= uint64_t{1} << (static_cast<uint8_t>(c) & 63);
+  }
+  sig.length = static_cast<uint32_t>(token.size());
+  const size_t n = std::min<size_t>(token.size(), 4);
+  for (size_t i = 0; i < n; ++i) {
+    sig.prefix |= static_cast<uint32_t>(static_cast<uint8_t>(token[i]))
+                  << (8 * i);
+  }
+  return sig;
 }
 
 uint32_t TokenInterner::Hash(std::string_view token) {
@@ -52,6 +63,16 @@ std::optional<uint32_t> TokenInterner::Find(std::string_view token) const {
   const Slot& slot = slots_[Probe(token, Hash(token))];
   if (slot.id_plus_one == 0) return std::nullopt;
   return slot.id_plus_one - 1;
+}
+
+const TokenSignature* TokenInterner::Signature(uint32_t id) {
+  if (id >= signature_of_.size()) signature_of_.resize(id + 1, 0);
+  uint32_t& slot = signature_of_[id];
+  if (slot == 0) {
+    signatures_.push_back(MakeTokenSignature(strings_[id]));
+    slot = static_cast<uint32_t>(signatures_.size());
+  }
+  return &signatures_[slot - 1];
 }
 
 }  // namespace emx

@@ -24,6 +24,29 @@ struct IdSpan {
   bool empty() const { return size == 0; }
 };
 
+// What Monge-Elkan's pruned token max reads of a token instead of its
+// string: enough to bound the token's Jaro-Winkler score against any other
+// token (JaroWinklerUpperBound, set_similarity.h). Byte b counts in bucket
+// b & 63, which keeps upper- and lowercase letters apart.
+struct TokenSignature {
+  uint8_t histogram[64];  // bytes per bucket, saturating at 255
+  uint64_t mask;          // bit k set iff histogram[k] > 0
+  uint32_t length;        // bytes
+  uint32_t prefix;        // first min(4, length) bytes, little-endian,
+                          // zero-padded
+};
+
+TokenSignature MakeTokenSignature(std::string_view token);
+
+// One row's tokens as Monge-Elkan's kernel reads them: parallel arrays in
+// tokenizer-emission order (ids[k] and signatures[k] belong to tokens[k]).
+struct TokenRow {
+  const std::string_view* tokens = nullptr;
+  const uint32_t* ids = nullptr;
+  const TokenSignature* const* signatures = nullptr;
+  size_t size = 0;
+};
+
 // Interns token strings into dense uint32_t ids (0, 1, 2, ... in first-seen
 // order). Two tokens are equal iff their ids are equal, so set-similarity
 // kernels compare 4-byte ids instead of hashing strings.
@@ -58,12 +81,11 @@ class TokenInterner {
   // Number of distinct tokens interned so far (== smallest unassigned id).
   size_t size() const { return strings_.size(); }
 
-  // Process-unique identity of this interner (never reused, unlike the
-  // object's address). Keys caches of per-(id, id) computation results —
-  // e.g. the memoized token-level Jaro-Winkler inside Monge-Elkan — so a
-  // stale entry can never be confused with an id pair from a different
-  // interner that happened to reuse freed memory.
-  uint64_t uid() const { return uid_; }
+  // The signature of an interned id, computed on its first request and
+  // kept at a stable address for the interner's lifetime. Readers hold the
+  // pointer, never an index into the interner: another thread may intern
+  // (under PrepCache's mutex) while they score.
+  const TokenSignature* Signature(uint32_t id);
 
  private:
   // One slot of the table: the token's hash and its id + 1 (0 = empty).
@@ -72,7 +94,6 @@ class TokenInterner {
     uint32_t id_plus_one = 0;
   };
 
-  static uint64_t NextUid();
   static uint32_t Hash(std::string_view token);
 
   // The slot holding `token`, or the empty slot where it belongs. The
@@ -83,9 +104,12 @@ class TokenInterner {
   // stored hash.
   void Grow();
 
-  const uint64_t uid_ = NextUid();
   std::deque<std::string> strings_;  // id -> token; deque keeps refs stable
   std::vector<Slot> slots_;          // power-of-two size, at most half full
+  // Signatures of the ids asked for so far (deque: stable addresses), and
+  // id -> index + 1 into them (0 = not computed; ids past the end too).
+  std::deque<TokenSignature> signatures_;
+  std::vector<uint32_t> signature_of_;
 };
 
 }  // namespace emx

@@ -6,7 +6,9 @@
 // fallback is exercised even on AVX2 hardware. The same suite pins down the
 // PairBatch container, the batched vectorizer/imputer, the flattened-forest
 // scorer (incl. NaN routing and deserialize), the rule-matcher batch
-// overloads, and the Monge-Elkan memo flush hook.
+// overloads, and the Monge-Elkan kernel (bit-identical to the span form on
+// the case study and an SF-2 corpus at 1/2/8 threads; its Jaro-Winkler
+// bound never below the score it bounds).
 
 #include <atomic>
 #include <cmath>
@@ -19,7 +21,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/block/candidate_set.h"
+#include "src/block/overlap_blocker.h"
+#include "src/core/executor.h"
 #include "src/core/random.h"
+#include "src/datagen/case_study.h"
+#include "src/datagen/preprocess.h"
+#include "src/datagen/scale_corpus.h"
 #include "src/feature/feature_gen.h"
 #include "src/feature/pair_batch.h"
 #include "src/feature/vectorizer.h"
@@ -509,47 +517,317 @@ TEST(FeatureRulesBatchTest, UnknownFeatureIsNotFound) {
   EXPECT_EQ(rules.Predict(batch).status().code(), StatusCode::kNotFound);
 }
 
-// ---------- Monge-Elkan memo flush ----------
+// ---------- Monge-Elkan kernel ----------
 
-TEST(MongeElkanMemoTest, ClearFlushesStaleEntries) {
-  static_assert(kMongeElkanMemoMaxEntries > 0);
-  const uint64_t uid = 0xE1DB7u;
-  const std::string_view a1[] = {"martha"};
-  const std::string_view b1[] = {"marhta"};
-  const uint32_t aid[] = {0};
-  const uint32_t bid[] = {1};
-  const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
-  EXPECT_EQ(v1, MongeElkanSimilarity(a1, 1, b1, 1));
+// One corpus the Monge-Elkan kernel is checked on: a table pair, its
+// candidate pairs and its Monge-Elkan features.
+struct MelCorpus {
+  std::string name;
+  const Table* left;
+  const Table* right;
+  CandidateSet pairs;
+  FeatureSet features;  // the Monge-Elkan features only
+};
 
-  // Same ids + same uid but different strings: the memo (by design) serves
-  // the stale score — ids are the key, strings only feed misses.
-  const std::string_view a2[] = {"zzzz"};
-  const std::string_view b2[] = {"qqqq"};
-  EXPECT_EQ(MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid), v1);
-
-  // After the flush the very same call recomputes from the strings.
-  ClearMongeElkanMemo();
-  const double fresh = MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid);
-  EXPECT_EQ(fresh, MongeElkanSimilarity(a2, 1, b2, 1));
-  EXPECT_NE(fresh, v1);
+FeatureSet MongeElkanOnly(const FeatureSet& all) {
+  FeatureSet out;
+  for (const Feature& f : all.features) {
+    if (f.name.find("_mel") != std::string::npos) out.features.push_back(f);
+  }
+  return out;
 }
 
-TEST(MongeElkanMemoTest, PrepCacheClearFlushesTheMemo) {
-  const uint64_t uid = 0xCAC4Eu;
-  const std::string_view a1[] = {"hello"};
-  const std::string_view b1[] = {"hallo"};
-  const uint32_t aid[] = {3};
-  const uint32_t bid[] = {4};
-  const double v1 = MongeElkanSimilarityMemo(a1, aid, 1, b1, bid, 1, uid);
+// Both case-study branches (UMETRICS and the extra table against USDA,
+// every candidate of the standard blocking, all five Monge-Elkan features)
+// and an SF-2 scale corpus (the title blockers' candidates, both title
+// features).
+struct MelCorpora {
+  ProjectedTables case_study;
+  ScaleCorpus scale;
+  std::vector<MelCorpus> corpora;
+};
 
+const MelCorpora& Corpora() {
+  static const MelCorpora& c = *[] {
+    auto* out = new MelCorpora();
+    out->case_study = std::move(*PreprocessCaseStudy(*GenerateCaseStudy()));
+    const ProjectedTables& t = out->case_study;
+    FeatureSet features =
+        MongeElkanOnly(*CaseStudyFeatures(t.umetrics, t.usda, true));
+    for (const Table* left : {&t.umetrics, &t.extra}) {
+      out->corpora.push_back(
+          {left == &t.umetrics ? "case study" : "case study extra", left,
+           &t.usda, RunStandardBlocking(*left, t.usda)->c, features});
+    }
+    ScaleCorpusOptions options;
+    options.scale_factor = 2;
+    out->scale = std::move(*GenerateScaleCorpus(options));
+    OverlapBlockerOptions blocker;
+    blocker.left_attr = "AwardTitle";
+    blocker.right_attr = "AwardTitle";
+    const ScaleCorpus& sc = out->scale;
+    CandidateSet pairs = CandidateSet::Union(
+        *OverlapBlocker(blocker, 3).Block(sc.left, sc.right),
+        *OverlapCoefficientBlocker(blocker, 0.7).Block(sc.left, sc.right));
+    FeatureGenOptions gen;
+    gen.exclude = {"RecordId"};
+    gen.lowercase_variants = {"AwardTitle"};
+    out->corpora.push_back(
+        {"SF 2", &sc.left, &sc.right, std::move(pairs),
+         MongeElkanOnly(*GenerateFeatures(sc.left, sc.right, gen))});
+    return out;
+  }();
+  return c;
+}
+
+// Every score of every candidate pair, through VectorizePairsBatch on a
+// cold cache at 1/2/8 threads, is bit-identical to the span form (reached
+// through each feature's Value fn).
+TEST(MongeElkanKernelTest, BitExactVsSpanFormOnCorporaAt128Threads) {
+  const MelCorpora& c = Corpora();
+  ASSERT_EQ(c.corpora.size(), 3u);
+  EXPECT_EQ(c.corpora[0].features.features.size(), 5u);
+  EXPECT_EQ(c.corpora[2].features.features.size(), 2u);
+  for (const MelCorpus& corpus : c.corpora) {
+    EXPECT_GT(corpus.pairs.size(), 100u) << corpus.name;
+    const std::vector<Feature>& fs = corpus.features.features;
+    std::vector<std::vector<double>> expected(fs.size());
+    for (size_t f = 0; f < fs.size(); ++f) {
+      auto lcol = corpus.left->ColumnByName(fs[f].left_attr);
+      auto rcol = corpus.right->ColumnByName(fs[f].right_attr);
+      ASSERT_TRUE(lcol.ok() && rcol.ok());
+      for (const RecordPair& p : corpus.pairs) {
+        expected[f].push_back(fs[f].fn((**lcol)[p.left], (**rcol)[p.right]));
+      }
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      Executor pool(threads);
+      PrepCache cache;
+      auto batch = VectorizePairsBatch(*corpus.left, *corpus.right,
+                                       corpus.pairs, corpus.features,
+                                       ExecutorContext{&pool}, &cache);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      for (size_t f = 0; f < fs.size(); ++f) {
+        size_t mismatches = 0;
+        for (size_t i = 0; i < corpus.pairs.size(); ++i) {
+          if (!BitEq(batch->At(i, f), expected[f][i])) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << corpus.name << ", " << fs[f].name
+                                  << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+// Checks the bound and the bit-parallel Jaro-Winkler on one token pair, in
+// both argument orders; returns the number of failures.
+size_t CheckTokenPair(std::string_view a, const TokenSignature& sa,
+                      std::string_view b, const TokenSignature& sb) {
+  size_t bad = 0;
+  const double bound = JaroWinklerUpperBound(sa, sb);
+  if (bound != JaroWinklerUpperBound(sb, sa)) ++bad;
+  for (auto [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+    const double jw = oracle::JaroWinklerSimilarity(x, y);
+    if (bound < jw) ++bad;
+    if (!BitEq(TokenJaroWinkler(x, y), jw)) ++bad;
+    if (!BitEq(JaroWinklerSimilarity(x, y), jw)) ++bad;
+  }
+  return bad;
+}
+
+// Over every token pair the candidates bring together (each Monge-Elkan
+// feature's two rows), the bound is never below either order's
+// Jaro-Winkler, and the bit-parallel scan matches the oracle bit for bit.
+TEST(MongeElkanKernelTest, BoundAndBitParallelJwHoldOnCorpusTokenPairs) {
+  for (const MelCorpus& corpus : Corpora().corpora) {
+    PrepCache cache;
+    for (const Feature& f : corpus.features.features) {
+      FeaturePrep prep = PrepForFeature(f.prep);
+      auto lp = cache.Get(**corpus.left->ColumnByName(f.left_attr),
+                          prep.options, prep.tokenizer.get());
+      auto rp = cache.Get(**corpus.right->ColumnByName(f.right_attr),
+                          prep.options, prep.tokenizer.get());
+      size_t bad = 0, checked = 0;
+      for (const RecordPair& p : corpus.pairs) {
+        const TokenRow a = lp->token_row(p.left);
+        const TokenRow b = rp->token_row(p.right);
+        for (size_t i = 0; i < a.size; ++i) {
+          for (size_t j = 0; j < b.size; ++j) {
+            bad += CheckTokenPair(a.tokens[i], *a.signatures[i], b.tokens[j],
+                                  *b.signatures[j]);
+            ++checked;
+          }
+        }
+      }
+      EXPECT_GT(checked, 100u) << corpus.name << ", " << f.name;
+      EXPECT_EQ(bad, 0u) << corpus.name << ", " << f.name;
+    }
+  }
+}
+
+// Owns the arrays of a TokenRow built straight from an interner.
+struct OwnedRow {
+  std::vector<std::string_view> tokens;
+  std::vector<uint32_t> ids;
+  std::vector<const TokenSignature*> signatures;
+
+  TokenRow view() const {
+    return {tokens.data(), ids.data(), signatures.data(), tokens.size()};
+  }
+};
+
+OwnedRow MakeRow(TokenInterner* interner,
+                 const std::vector<std::string>& tokens) {
+  OwnedRow row;
+  for (const std::string& t : tokens) {
+    const uint32_t id = interner->Intern(t);
+    row.tokens.push_back(interner->TokenString(id));
+    row.ids.push_back(id);
+    row.signatures.push_back(interner->Signature(id));
+  }
+  return row;
+}
+
+double SpanForm(const OwnedRow& a, const OwnedRow& b) {
+  return MongeElkanSimilarity(a.tokens.data(), a.tokens.size(),
+                              b.tokens.data(), b.tokens.size());
+}
+
+std::vector<std::string> EdgeTokens() {
+  std::string alpha64, alpha65;
+  for (int i = 0; i < 64; ++i) alpha64 += static_cast<char>('a' + i % 26);
+  alpha65 = alpha64 + "q";
+  std::string swapped64 = alpha64;
+  std::swap(swapped64[10], swapped64[11]);
+  return {"Corn", "corn", "CORN", "cOrN", "c", "C", "x", "",
+          alpha64, alpha65, swapped64, alpha64.substr(1) + "Z",
+          std::string(300, 'a'), std::string(299, 'a'),
+          std::string(256, 'a') + "b", std::string(255, 'A'),
+          "\xc3\xa9t\xc3\xa9", "ete", "\xff\x80\x81", "\x80\xff",
+          "\xe6\x96\x87\xe5\xad\x97", "aab", "aba", "baa", "abab"};
+}
+
+// Every ordered pair of edge tokens: case-mismatched, 1 byte, empty, 64 and
+// 65 bytes (the bit-parallel cutoff), over 255 bytes of one byte
+// (histogram saturation), bytes >= 0x80, repeated bytes.
+TEST(MongeElkanKernelTest, BoundAndBitParallelJwHoldOnEdgeTokens) {
+  TokenInterner interner;
+  const std::vector<std::string> tokens = EdgeTokens();
+  size_t bad = 0;
+  for (const std::string& a : tokens) {
+    for (const std::string& b : tokens) {
+      const TokenSignature sa = MakeTokenSignature(a);
+      const TokenSignature sb = MakeTokenSignature(b);
+      const size_t pair_bad = CheckTokenPair(a, sa, b, sb);
+      EXPECT_EQ(pair_bad, 0u) << "\"" << a.substr(0, 20) << "\" vs \""
+                              << b.substr(0, 20) << "\"";
+      bad += pair_bad;
+    }
+  }
+  EXPECT_EQ(bad, 0u);
+  // The interner hands out one signature per id, equal to a fresh one.
+  const uint32_t id = interner.Intern("corn");
+  const TokenSignature* sig = interner.Signature(id);
+  EXPECT_EQ(interner.Signature(interner.Intern("corn")), sig);
+  const TokenSignature fresh = MakeTokenSignature("corn");
+  EXPECT_EQ(std::memcmp(sig, &fresh, sizeof(fresh)), 0);
+}
+
+// Random short strings over a small alphabet (many matches, many
+// transpositions), lengths on both sides of 64: the bit-parallel scan is
+// the scalar scan bit for bit, and the bound holds.
+TEST(MongeElkanKernelTest, BitParallelJwMatchesOracleOnRandomTokens) {
+  std::mt19937 rng(20261017);
+  std::uniform_int_distribution<size_t> len(1, 70);
+  size_t bad = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string a = RandomString(rng, len(rng), 'a', 'e');
+    const std::string b = RandomString(rng, len(rng), 'a', 'e');
+    bad += CheckTokenPair(a, MakeTokenSignature(a), b, MakeTokenSignature(b));
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+// Rows of edge tokens, including a token repeated within a row, empty rows
+// and rows sharing tokens: the kernel equals the span form bit for bit.
+TEST(MongeElkanKernelTest, KernelMatchesSpanFormOnEdgeRows) {
+  TokenInterner interner;
+  const std::vector<std::string> edge = EdgeTokens();
+  std::vector<OwnedRow> rows;
+  rows.push_back(MakeRow(&interner, {}));
+  rows.push_back(MakeRow(&interner, {"corn", "corn"}));
+  rows.push_back(MakeRow(&interner, {"Corn", "ecology", "corn"}));
+  for (size_t i = 0; i + 2 < edge.size(); ++i) {
+    rows.push_back(MakeRow(&interner, {edge[i], edge[i + 1], edge[i + 2]}));
+    rows.push_back(MakeRow(&interner, {edge[i], edge[i]}));
+  }
+  for (const OwnedRow& a : rows) {
+    for (const OwnedRow& b : rows) {
+      EXPECT_TRUE(BitEq(MongeElkanSimilarity(a.view(), b.view()),
+                        SpanForm(a, b)))
+          << a.tokens.size() << " x " << b.tokens.size();
+    }
+  }
+}
+
+// Random rows over a small alphabet, so tokens share bytes, repeat within
+// a row and collide across rows: the kernel equals the span form bit for
+// bit in both orders.
+TEST(MongeElkanKernelTest, KernelMatchesSpanFormOnRandomRows) {
+  std::mt19937 rng(17102026);
+  std::uniform_int_distribution<size_t> token_len(1, 9), row_len(1, 8);
+  TokenInterner interner;
+  size_t bad = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<std::string> ta(row_len(rng)), tb(row_len(rng));
+    for (std::string& t : ta) t = RandomString(rng, token_len(rng), 'a', 'f');
+    for (std::string& t : tb) t = RandomString(rng, token_len(rng), 'a', 'f');
+    const OwnedRow a = MakeRow(&interner, ta);
+    const OwnedRow b = MakeRow(&interner, tb);
+    if (!BitEq(MongeElkanSimilarity(a.view(), b.view()), SpanForm(a, b))) ++bad;
+    if (!BitEq(MongeElkanSimilarity(b.view(), a.view()), SpanForm(b, a))) ++bad;
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+// The best match for "martha" is the last token, behind a token whose
+// bound (0.6) is below the first token's score (0.84): a visit in index
+// order that stops at the first bound <= best would miss it.
+TEST(MongeElkanKernelTest, VisitsTokensByDescendingBound) {
+  TokenInterner interner;
+  const OwnedRow a = MakeRow(&interner, {"martha"});
+  const OwnedRow b = MakeRow(&interner, {"martin", "mz", "marthas"});
+  const double first = JaroWinklerSimilarity("martha", "martin");
+  const double bound = JaroWinklerUpperBound(*a.signatures[0],
+                                             *b.signatures[1]);
+  ASSERT_LT(bound, first);
+  ASSERT_GT(bound, 0.0);
+  ASSERT_GT(JaroWinklerSimilarity("martha", "marthas"), first);
+  EXPECT_TRUE(BitEq(MongeElkanSimilarity(a.view(), b.view()), SpanForm(a, b)));
+  EXPECT_TRUE(BitEq(MongeElkanSimilarity(b.view(), a.view()), SpanForm(b, a)));
+}
+
+// Signatures are computed once per distinct token and shared by every
+// column of the cache that holds the token; q-gram columns hold none.
+TEST(MongeElkanKernelTest, WordColumnsShareInternerSignatures) {
+  const std::vector<Value> left = {Value("applied corn ecology")};
+  const std::vector<Value> right = {Value("corn study")};
   PrepCache cache;
-  cache.Clear();  // must invalidate every thread's memo
-
-  const std::string_view a2[] = {"aaaa"};
-  const std::string_view b2[] = {"bbbb"};
-  const double fresh = MongeElkanSimilarityMemo(a2, aid, 1, b2, bid, 1, uid);
-  EXPECT_EQ(fresh, MongeElkanSimilarity(a2, 1, b2, 1));
-  EXPECT_NE(fresh, v1);
+  FeaturePrep words = PrepForFeature({false, /*tokenize=*/true, 0});
+  FeaturePrep grams = PrepForFeature({false, /*tokenize=*/true, 3});
+  auto lp = cache.Get(left, words.options, words.tokenizer.get());
+  auto rp = cache.Get(right, words.options, words.tokenizer.get());
+  const TokenRow l = lp->token_row(0);
+  const TokenRow r = rp->token_row(0);
+  ASSERT_EQ(l.size, 3u);
+  ASSERT_EQ(r.size, 2u);
+  ASSERT_NE(l.signatures, nullptr);
+  EXPECT_EQ(l.tokens[1], "corn");
+  EXPECT_EQ(l.signatures[1], r.signatures[0]);
+  EXPECT_EQ(l.signatures[1]->length, 4u);
+  auto gp = cache.Get(left, grams.options, grams.tokenizer.get());
+  EXPECT_GT(gp->token_row(0).size, 0u);
+  EXPECT_EQ(gp->token_row(0).signatures, nullptr);
 }
 
 }  // namespace

@@ -254,6 +254,42 @@ TEST(ServeLoopTest, RemoveRejectsNonIntegralIds) {
   EXPECT_EQ(stats->Find("live_records")->number_value(), 4.0);
 }
 
+// A record field too large for int64 stays a double: casting 1e20 to int64
+// was an out-of-range conversion (UB) before the integrality test. A large
+// integer that fits still lands as int64, as a CSV load would give it.
+TEST(ServeLoopTest, HugeNumericFieldsStayDoubles) {
+  auto fx = std::unique_ptr<LoopFixture>(MakeLoopFixture());
+  std::istringstream in(
+      R"({"id":1,"op":"lookup","record":{"Title":1e20}})"
+      "\n"
+      R"({"id":2,"op":"lookup","record":{"Title":-1e20}})"
+      "\n"
+      R"({"id":3,"op":"insert","record":{"Title":1e20}})"
+      "\n"
+      R"({"id":4,"op":"insert","record":{"Title":-1e20}})"
+      "\n"
+      R"({"id":5,"op":"insert","record":{"Title":9007199254740992}})"
+      "\n");
+  std::ostringstream out;
+  ServeLoop loop(fx->service.get(), ServeOptions{}, &out);
+  ASSERT_TRUE(loop.Run(in).ok());
+  auto responses = ParseResponses(out.str());
+  ASSERT_EQ(responses.size(), 5u);
+  for (double id : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+    const JsonValue* r = FindById(responses, id);
+    ASSERT_NE(r, nullptr) << id;
+    EXPECT_TRUE(r->Find("ok")->bool_value()) << id;
+  }
+  const std::vector<Value>& titles = fx->service->corpus().column(0);
+  ASSERT_EQ(titles.size(), 7u);
+  ASSERT_TRUE(titles[4].is_double());
+  EXPECT_EQ(titles[4].AsDouble(), 1e20);
+  ASSERT_TRUE(titles[5].is_double());
+  EXPECT_EQ(titles[5].AsDouble(), -1e20);
+  ASSERT_TRUE(titles[6].is_int());
+  EXPECT_EQ(titles[6].AsInt(), int64_t{9007199254740992});
+}
+
 // --- admission control -----------------------------------------------------------
 
 // Deterministic saturation: a blocked "serve/handle" failpoint parks the

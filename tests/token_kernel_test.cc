@@ -264,12 +264,13 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
             want_ids.push_back(legacy.Intern(w));
           }
           EXPECT_EQ(prep->text(r), text) << "row " << r;
-          size_t n = 0;
-          const auto* toks = prep->tokens(r, &n);
-          EXPECT_EQ(std::vector<std::string>(toks, toks + n), want)
+          const TokenRow row = prep->token_row(r);
+          EXPECT_EQ(std::vector<std::string>(row.tokens,
+                                             row.tokens + row.size),
+                    want)
               << "row " << r;
-          const uint32_t* emitted = prep->emission_ids(r, &n);
-          EXPECT_EQ(std::vector<uint32_t>(emitted, emitted + n), want_ids)
+          EXPECT_EQ(std::vector<uint32_t>(row.ids, row.ids + row.size),
+                    want_ids)
               << "row " << r;
           std::sort(want_ids.begin(), want_ids.end());
           IdSpan ids = prep->ids(r);
@@ -316,16 +317,13 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
       EXPECT_EQ(grown.text(r), bulk.text(r)) << "row " << r;
       EXPECT_EQ(ids_of(grown.ids(r)), ids_of(bulk.ids(r))) << "row " << r;
       EXPECT_EQ(ids_of(grown.ids(r)), ids_of(cached->ids(r))) << "row " << r;
-      size_t ng = 0, nb = 0;
-      const std::string_view* tg = grown.tokens(r, &ng);
-      const std::string_view* tb = bulk.tokens(r, &nb);
-      EXPECT_EQ(std::vector<std::string>(tg, tg + ng),
-                std::vector<std::string>(tb, tb + nb))
+      const TokenRow tg = grown.token_row(r);
+      const TokenRow tb = bulk.token_row(r);
+      EXPECT_EQ(std::vector<std::string>(tg.tokens, tg.tokens + tg.size),
+                std::vector<std::string>(tb.tokens, tb.tokens + tb.size))
           << "row " << r;
-      const uint32_t* eg = grown.emission_ids(r, &ng);
-      const uint32_t* eb = bulk.emission_ids(r, &nb);
-      EXPECT_EQ(std::vector<uint32_t>(eg, eg + ng),
-                std::vector<uint32_t>(eb, eb + nb))
+      EXPECT_EQ(std::vector<uint32_t>(tg.ids, tg.ids + tg.size),
+                std::vector<uint32_t>(tb.ids, tb.ids + tb.size))
           << "row " << r;
     }
   }
@@ -366,9 +364,8 @@ TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(p->ids(0).size, 6u);
   EXPECT_EQ(u->ids(0).size, 2u);
-  size_t n = 0;
-  const auto* toks = u->tokens(0, &n);
-  EXPECT_EQ(std::vector<std::string>(toks, toks + n),
+  const TokenRow row = u->token_row(0);
+  EXPECT_EQ(std::vector<std::string>(row.tokens, row.tokens + row.size),
             (std::vector<std::string>{"abc", "bcd"}));
 }
 
@@ -386,9 +383,8 @@ TEST(PrepCacheTest, ColumnOutlivesItsCache) {
     uncached.emplace(cache.PrepUncached(col, {}, &q3));
   }
   auto tokens_of = [](const PreparedColumn& c, size_t row) {
-    size_t n = 0;
-    const auto* toks = c.tokens(row, &n);
-    return std::vector<std::string>(toks, toks + n);
+    const TokenRow t = c.token_row(row);
+    return std::vector<std::string>(t.tokens, t.tokens + t.size);
   };
   EXPECT_EQ(tokens_of(*cached, 0), (std::vector<std::string>{"alpha", "beta"}));
   EXPECT_TRUE(tokens_of(*cached, 1).empty());
@@ -879,11 +875,10 @@ TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
   for (size_t r = 0; r < want->rows(); ++r) {
     EXPECT_EQ(got->is_null(r), want->is_null(r)) << "row " << r;
     EXPECT_EQ(got->text(r), want->text(r)) << "row " << r;
-    size_t ng = 0, nw = 0;
-    const std::string_view* tg = got->tokens(r, &ng);
-    const std::string_view* tw = want->tokens(r, &nw);
-    EXPECT_EQ(std::vector<std::string_view>(tg, tg + ng),
-              std::vector<std::string_view>(tw, tw + nw))
+    const TokenRow tg = got->token_row(r);
+    const TokenRow tw = want->token_row(r);
+    EXPECT_EQ(std::vector<std::string_view>(tg.tokens, tg.tokens + tg.size),
+              std::vector<std::string_view>(tw.tokens, tw.tokens + tw.size))
         << "row " << r;
   }
   EXPECT_EQ(wf.prep_cache()->entries(), 3u);
