@@ -16,13 +16,13 @@ namespace emx {
 FeaturePrep PrepForFeature(const FeaturePrepSpec& spec) {
   FeaturePrep out;
   out.options = {spec.lowercase, /*strip_punctuation=*/false,
-                 /*token_signatures=*/false};
+                 /*token_rows=*/false};
   if (spec.tokenize && spec.qgram > 0) {
     out.tokenizer = std::make_shared<QgramTokenizer>(spec.qgram);
   } else if (spec.tokenize) {
-    // Word tokens: Monge-Elkan reads their signatures.
+    // Word tokens: Monge-Elkan reads their token rows.
     out.tokenizer = std::make_shared<WhitespaceTokenizer>();
-    out.options.token_signatures = true;
+    out.options.token_rows = true;
   }
   return out;
 }

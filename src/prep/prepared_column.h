@@ -1,6 +1,7 @@
 #ifndef EMX_PREP_PREPARED_COLUMN_H_
 #define EMX_PREP_PREPARED_COLUMN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -19,36 +20,37 @@ namespace emx {
 // scoring. Mirrors the two prep pipelines in the codebase: features
 // lowercase only (feature.cc's Prep), blockers lowercase AND strip
 // punctuation (OverlapBlockerOptions).
-// `token_signatures` also gives each token of a tokenized column its
-// interner-owned TokenSignature, which Monge-Elkan's kernel reads; feature
-// columns of word tokens set it (PrepForFeature), q-gram and blocker
-// columns do not pay for it.
+// `token_rows` makes a tokenized column also keep each row's tokens in
+// emission order, with their ids and interner-owned TokenSignatures
+// (PreparedColumn::token_row), which only Monge-Elkan's kernel reads;
+// feature columns of word tokens set it (PrepForFeature), q-gram and
+// blocker columns do not pay for it.
 struct PrepOptions {
   bool lowercase = false;
   bool strip_punctuation = false;
-  bool token_signatures = false;
-
-  friend bool operator<(const PrepOptions& a, const PrepOptions& b) {
-    if (a.lowercase != b.lowercase) return a.lowercase < b.lowercase;
-    if (a.strip_punctuation != b.strip_punctuation) {
-      return a.strip_punctuation < b.strip_punctuation;
-    }
-    return a.token_signatures < b.token_signatures;
-  }
+  bool token_rows = false;
 };
 
+// The identity of a prep: two (options, tokenizer) pairs with equal keys
+// prep any column identically. `tokenizer` may be null (text-only prep);
+// its name() and unique() flag identify it. PrepCache keys its entries on
+// this, and MatchService its resident prep families.
+std::string PrepKey(const PrepOptions& options, const Tokenizer* tokenizer);
+
 // One column of one table, prepped ONCE (every row, or only the rows a
-// reader will read — see the row-list constructor): per row the normalized
-// string, the tokens exactly as the tokenizer emitted them
-// (first-occurrence order — the order the legacy per-pair path saw, so
-// order-sensitive scorers like Monge-Elkan sum in the same order), and a
-// SORTED span of token ids in a flat arena for the merge-based set
-// kernels. Token ids come from the owning PrepCache's interner, so spans
-// from any two columns of the same cache are directly comparable. Each
-// token is a view of the interner's string for its id, and, when prepped
-// with token_signatures, comes with a pointer to the interner's signature
-// for it; the column shares ownership of the interner, so views and
-// pointers stay valid for the column's lifetime.
+// reader will read — see the row-list constructor). What a row keeps
+// depends on the column's kind, and only what readers read is stored:
+//   - untokenized (no tokenizer): the normalized string, text();
+//   - tokenized: a SORTED span of token ids in a flat arena for the
+//     merge-based set kernels and the blockers, ids();
+//   - tokenized with token_rows: also the tokens exactly as the tokenizer
+//     emitted them (first-occurrence order — the order the legacy per-pair
+//     path saw, so Monge-Elkan sums in the same order), token_row().
+// Token ids come from the owning PrepCache's interner, so spans from any
+// two columns of the same cache are directly comparable. Each emitted
+// token is a view of the interner's string for its id, with a pointer to
+// the interner's signature for it; the column shares ownership of the
+// interner, so views and pointers stay valid for the column's lifetime.
 //
 // Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
@@ -81,52 +83,73 @@ class PreparedColumn {
   size_t rows() const { return null_.size(); }
   bool is_null(size_t row) const { return null_[row] != 0; }
 
-  // The normalized string of a row ("" for null rows).
-  const std::string& text(size_t row) const { return text_[row]; }
+  // The normalized string of a row of an untokenized column ("" for null
+  // rows). A tokenized column keeps no text and returns "" for every row.
+  std::string_view text(size_t row) const {
+    return tokenized_ ? std::string_view() : std::string_view(text_[row]);
+  }
 
-  // Sorted token-id span of a row (empty unless built with a tokenizer).
+  // Sorted token-id span of a row; empty for every row of an untokenized
+  // column.
   IdSpan ids(size_t row) const {
+    if (!tokenized_) return {};
     return {id_arena_.data() + offsets_[row],
             offsets_[row + 1] - offsets_[row]};
   }
 
   // A row's tokens in tokenizer-emission order, as views of the interner's
   // strings, with their ids and signatures (parallel arrays, contiguous:
-  // Monge-Elkan's kernel reads them directly). `signatures` is null unless
-  // the column was prepped with token_signatures.
+  // Monge-Elkan's kernel reads them directly). Only a tokenized column
+  // prepped with token_rows keeps them; every other column returns an
+  // empty TokenRow (size 0, null pointers) for every row.
   TokenRow token_row(size_t row) const {
+    if (!token_rows_) return {};
     const uint32_t first = offsets_[row];
     return {token_store_.data() + first, emit_ids_.data() + first,
-            signature_store_.empty() ? nullptr
-                                     : signature_store_.data() + first,
-            offsets_[row + 1] - first};
+            signature_store_.data() + first, offsets_[row + 1] - first};
   }
 
   bool tokenized() const { return tokenized_; }
 
  private:
+  // An empty column of this kind, with room for `reserve_rows` rows.
+  PreparedColumn(size_t reserve_rows, const PrepOptions& options,
+                 const Tokenizer* tokenizer,
+                 std::shared_ptr<TokenInterner> interner);
+
   bool tokenized_;
+  bool token_rows_;  // tokenized_ and prepped with token_rows
   std::shared_ptr<const TokenInterner> interner_;  // owns the token strings
   std::vector<uint8_t> null_;
-  std::vector<std::string> text_;
-  // The token arrays are parallel: row r owns [offsets_[r],
-  // offsets_[r + 1]) of each (of signature_store_ only when it is filled).
-  std::vector<std::string_view> token_store_;  // emission order
-  std::vector<uint32_t> emit_ids_;             // emission order
-  std::vector<const TokenSignature*> signature_store_;  // emission order
-  std::vector<uint32_t> id_arena_;             // each row's run sorted
-  std::vector<uint32_t> offsets_;              // rows+1
+  std::vector<std::string> text_;  // untokenized columns only
+  // Tokenized columns only: row r owns [offsets_[r], offsets_[r + 1]) of
+  // id_arena_, and with token_rows of the three emission-order arrays too.
+  std::vector<uint32_t> id_arena_;  // each row's run sorted
+  std::vector<uint32_t> offsets_;   // rows+1
+  std::vector<std::string_view> token_store_;
+  std::vector<uint32_t> emit_ids_;
+  std::vector<const TokenSignature*> signature_store_;
 };
 
-// Caches PreparedColumns keyed on (column identity, prep options,
-// tokenizer), all sharing ONE TokenInterner so id spans from different
-// columns — left vs right table, or columns requested by different
-// blockers/features — intersect directly. This is what collapses the
-// per-(pair × feature) tokenization of the legacy path to one pass per
-// (column, prep config): each record is prepped once no matter how many
-// candidate pairs it appears in. Only whole columns are cached (Get);
-// vectorize binds through GetRows, which reuses a cached whole column or
-// preps just the rows its pairs touch into a column it never caches.
+namespace internal_prep {
+
+// Sorts ids[0, n) ascending with repeats kept, exactly as std::sort does:
+// insertion sort for short runs, otherwise an LSD radix sort on 8-bit
+// digits with only as many passes as the largest id needs.
+// Exposed for tests.
+void SortIds(uint32_t* ids, size_t n);
+
+}  // namespace internal_prep
+
+// Caches PreparedColumns keyed on (column identity, PrepKey), all sharing
+// ONE TokenInterner so id spans from different columns — left vs right
+// table, or columns requested by different blockers/features — intersect
+// directly. This is what collapses the per-(pair × feature) tokenization
+// of the legacy path to one pass per (column, prep config): each record is
+// prepped once no matter how many candidate pairs it appears in. Only
+// whole columns are cached (Get); vectorize binds through GetRows, which
+// reuses a cached whole column or preps just the rows its pairs touch into
+// a column it never caches.
 //
 // Thread-safety: Get() and GetRows() are fully synchronized (builds are
 // serialized under the cache mutex — concurrent blockers requesting
@@ -145,8 +168,7 @@ class PrepCache {
   PrepCache& operator=(const PrepCache&) = delete;
 
   // The prepared form of `column` under (options, tokenizer), built on
-  // first use. `tokenizer` may be null for text-only prep; its name() and
-  // unique() flag identify it in the cache key.
+  // first use. `tokenizer` may be null for text-only prep.
   std::shared_ptr<const PreparedColumn> Get(const std::vector<Value>& column,
                                             const PrepOptions& options,
                                             const Tokenizer* tokenizer);
@@ -197,15 +219,12 @@ class PrepCache {
   struct Key {
     const void* column;  // column storage address
     size_t rows;
-    PrepOptions options;
-    std::string tokenizer_key;  // "" when untokenized
+    std::string prep;  // PrepKey
 
     friend bool operator<(const Key& a, const Key& b) {
       if (a.column != b.column) return a.column < b.column;
       if (a.rows != b.rows) return a.rows < b.rows;
-      if (a.options < b.options || b.options < a.options)
-        return a.options < b.options;
-      return a.tokenizer_key < b.tokenizer_key;
+      return a.prep < b.prep;
     }
   };
   static Key MakeKey(const std::vector<Value>& column,

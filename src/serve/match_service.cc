@@ -25,22 +25,6 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
-// One cache-key string per (attr, prep, tokenizer family), mirroring
-// PrepCache's tokenizer identity so two specs collapse iff the cache would
-// have collapsed them.
-std::string SpecKey(const std::string& attr, const PrepOptions& opts,
-                    const Tokenizer* tokenizer) {
-  std::string key = attr;
-  key += opts.lowercase ? "|lc" : "|-";
-  key += opts.strip_punctuation ? "|sp" : "|-";
-  key += opts.token_signatures ? "|sig" : "|-";
-  key += '|';
-  if (tokenizer != nullptr) {
-    key += tokenizer->name() + (tokenizer->unique() ? "/u" : "/b");
-  }
-  return key;
-}
-
 }  // namespace
 
 // One (attribute, normalization, tokenizer) family of resident corpus
@@ -50,7 +34,7 @@ struct MatchService::CorpusPrep {
   int col = -1;  // column index in the corpus schema
   PrepOptions opts;
   std::shared_ptr<Tokenizer> tokenizer;  // null → text-only prep
-  std::string key;
+  std::string prep_key;                  // PrepKey(opts, tokenizer)
   PreparedColumn column;
 };
 
@@ -61,7 +45,7 @@ struct MatchService::QuerySpec {
   std::string attr;
   PrepOptions opts;
   std::shared_ptr<Tokenizer> tokenizer;
-  std::string key;
+  std::string prep_key;  // PrepKey(opts, tokenizer)
 };
 
 // One blocker's survival predicate over a shared index probe:
@@ -149,34 +133,36 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   // blockers.
   auto add_query_spec = [&](const std::string& attr, const PrepOptions& opts,
                             std::shared_ptr<Tokenizer> tok) -> int {
-    std::string key = SpecKey(attr, opts, tok.get());
+    std::string prep_key = PrepKey(opts, tok.get());
     for (size_t i = 0; i < svc->query_specs_.size(); ++i) {
-      if (svc->query_specs_[i]->key == key) return static_cast<int>(i);
+      const QuerySpec& spec = *svc->query_specs_[i];
+      if (spec.attr == attr && spec.prep_key == prep_key) {
+        return static_cast<int>(i);
+      }
     }
-    auto spec = std::make_unique<QuerySpec>();
-    spec->attr = attr;
-    spec->opts = opts;
-    spec->tokenizer = std::move(tok);
-    spec->key = std::move(key);
-    svc->query_specs_.push_back(std::move(spec));
+    svc->query_specs_.push_back(std::make_unique<QuerySpec>(
+        QuerySpec{attr, opts, std::move(tok), std::move(prep_key)}));
     return static_cast<int>(svc->query_specs_.size() - 1);
   };
   auto add_corpus_prep = [&](const std::string& attr, const PrepOptions& opts,
                              std::shared_ptr<Tokenizer> tok) -> Result<int> {
-    std::string key = SpecKey(attr, opts, tok.get());
-    for (size_t i = 0; i < svc->corpus_preps_.size(); ++i) {
-      if (svc->corpus_preps_[i]->key == key) return static_cast<int>(i);
-    }
     int col = svc->corpus_.schema().IndexOf(attr);
     if (col < 0) {
       return Status::InvalidArgument("MatchService: corpus has no column '" +
                                      attr + "'");
     }
+    std::string prep_key = PrepKey(opts, tok.get());
+    for (size_t i = 0; i < svc->corpus_preps_.size(); ++i) {
+      const CorpusPrep& cp = *svc->corpus_preps_[i];
+      if (cp.col == col && cp.prep_key == prep_key) {
+        return static_cast<int>(i);
+      }
+    }
     PreparedColumn column = svc->prep_cache_->PrepUncached(
         svc->corpus_.column(static_cast<size_t>(col)), opts, tok.get());
     svc->corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
     svc->corpus_preps_.push_back(std::make_unique<CorpusPrep>(CorpusPrep{
-        col, opts, std::move(tok), std::move(key), std::move(column)}));
+        col, opts, std::move(tok), std::move(prep_key), std::move(column)}));
     return static_cast<int>(svc->corpus_preps_.size() - 1);
   };
 

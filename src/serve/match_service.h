@@ -132,8 +132,9 @@ class MatchService {
 
   // Appends a record (values in corpus schema order) and returns its
   // record id. Amortized O(row tokens), not O(corpus): an append that
-  // outgrows a resident prepared column's storage moves that column, whose
-  // tokens are 16-byte views of interned strings, so no token string moves.
+  // outgrows a resident prepared column's storage moves that column, which
+  // holds token ids and at most 16-byte views of interned strings, so no
+  // token string moves.
   Result<uint32_t> Insert(std::vector<Value> row);
 
   // Tombstones a record; subsequent lookups never return it. NotFound for

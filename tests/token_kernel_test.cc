@@ -220,6 +220,28 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
     col.emplace_back(s);
   }
   col.emplace_back(2.5);
+  const std::vector<PrepOptions> normalizations = {
+      PrepOptions{false, false}, PrepOptions{true, false},
+      PrepOptions{false, true}, PrepOptions{true, true}};
+
+  // Texts: untokenized prep keeps the normalized string of every row.
+  for (const PrepOptions& opts : normalizations) {
+    SCOPED_TRACE(std::string(opts.lowercase ? "lc" : "") +
+                 (opts.strip_punctuation ? " sp" : ""));
+    PrepCache cache;
+    auto prep = cache.Get(col, opts, nullptr);
+    ASSERT_EQ(prep->rows(), col.size());
+    for (size_t r = 0; r < col.size(); ++r) {
+      EXPECT_EQ(prep->is_null(r), col[r].is_null());
+      std::string text;
+      if (!col[r].is_null()) {
+        text = col[r].AsString();
+        if (opts.lowercase) text = AsciiToLower(text);
+        if (opts.strip_punctuation) text = StripPunctuation(text);
+      }
+      EXPECT_EQ(prep->text(r), text) << "row " << r;
+    }
+  }
 
   std::vector<std::unique_ptr<Tokenizer>> tokenizers;
   tokenizers.push_back(std::make_unique<WhitespaceTokenizer>());
@@ -233,38 +255,36 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
   for (auto& tok : tokenizers) {
     for (bool unique : {true, false}) {
       tok->set_unique(unique);
-      for (PrepOptions opts :
-           {PrepOptions{false, false}, PrepOptions{true, false},
-            PrepOptions{false, true}, PrepOptions{true, true}}) {
+      for (const PrepOptions& opts : normalizations) {
         SCOPED_TRACE(tok->name() + (unique ? "/u" : "/b") +
                      (opts.lowercase ? " lc" : "") +
                      (opts.strip_punctuation ? " sp" : ""));
         // A fresh cache against a separate interner fed the legacy tokens
         // row by row: ids must agree exactly, not just up to permutation.
+        // The lean column interns first; the one with token rows preps the
+        // same column after it, so both hold the same ids.
         PrepCache cache;
         TokenInterner legacy;
-        auto prep = cache.Get(col, opts, tok.get());
+        auto lean = cache.Get(col, opts, tok.get());
+        PrepOptions with_rows = opts;
+        with_rows.token_rows = true;
+        auto rows = cache.Get(col, with_rows, tok.get());
         OverlapBlockerOptions legacy_opts;
         legacy_opts.lowercase = opts.lowercase;
         legacy_opts.strip_punctuation = opts.strip_punctuation;
         auto legacy_tokens =
             internal_block::TokenizeColumn(col, legacy_opts, *tok);
-        ASSERT_EQ(prep->rows(), col.size());
+        ASSERT_EQ(lean->rows(), col.size());
+        ASSERT_EQ(rows->rows(), col.size());
         for (size_t r = 0; r < col.size(); ++r) {
-          EXPECT_EQ(prep->is_null(r), col[r].is_null());
-          std::string text;
-          if (!col[r].is_null()) {
-            text = col[r].AsString();
-            if (opts.lowercase) text = AsciiToLower(text);
-            if (opts.strip_punctuation) text = StripPunctuation(text);
-          }
+          EXPECT_EQ(lean->is_null(r), col[r].is_null());
+          EXPECT_EQ(rows->is_null(r), col[r].is_null());
           const std::vector<std::string>& want = legacy_tokens[r];
           std::vector<uint32_t> want_ids;
           for (const std::string& w : want) {
             want_ids.push_back(legacy.Intern(w));
           }
-          EXPECT_EQ(prep->text(r), text) << "row " << r;
-          const TokenRow row = prep->token_row(r);
+          const TokenRow row = rows->token_row(r);
           EXPECT_EQ(std::vector<std::string>(row.tokens,
                                              row.tokens + row.size),
                     want)
@@ -273,9 +293,12 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
                     want_ids)
               << "row " << r;
           std::sort(want_ids.begin(), want_ids.end());
-          IdSpan ids = prep->ids(r);
-          EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()), want_ids)
-              << "row " << r;
+          for (const auto& prep : {lean, rows}) {
+            IdSpan ids = prep->ids(r);
+            EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()),
+                      want_ids)
+                << "row " << r;
+          }
         }
         EXPECT_EQ(cache.interned_tokens(), legacy.size());
       }
@@ -284,8 +307,9 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
 }
 
 // A column grown one row at a time through AppendUncached equals the bulk
-// build row for row, under whitespace, q-gram (duplicate ids) and
-// text-only prep, and shares its ids with a cached column of the cache.
+// build row for row, under whitespace and q-gram (duplicate ids) prep with
+// token rows, lean q-gram prep and text-only prep, and shares its ids with
+// a cached column of the cache.
 TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
   Table t = RandomTable(200, 12);
   std::vector<Value> col = {Value::Null(), Value(std::string()),
@@ -303,8 +327,9 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
     const Tokenizer* tokenizer;
   };
   for (const Config& c :
-       {Config{{true, true}, &ws}, Config{{false, false}, &q3},
-        Config{{true, false}, nullptr}}) {
+       {Config{{true, true, /*token_rows=*/true}, &ws},
+        Config{{false, false, /*token_rows=*/true}, &q3},
+        Config{{false, false}, &q3}, Config{{true, false}, nullptr}}) {
     PreparedColumn bulk = cache.PrepUncached(col, c.opts, c.tokenizer);
     PreparedColumn grown = cache.PrepUncached({}, c.opts, c.tokenizer);
     for (const Value& v : col) {
@@ -325,7 +350,91 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
       EXPECT_EQ(std::vector<uint32_t>(tg.ids, tg.ids + tg.size),
                 std::vector<uint32_t>(tb.ids, tb.ids + tb.size))
           << "row " << r;
+      EXPECT_EQ(tg.size, c.opts.token_rows ? grown.ids(r).size : 0u)
+          << "row " << r;
     }
+  }
+}
+
+// Only columns prepped with token_rows keep token rows: a q-gram feature
+// column, a blocker's column and a text-only column report an empty
+// TokenRow (size 0, null pointers) for every row. No tokenized column
+// keeps text; their sorted ids are all there.
+TEST(PreparedColumnTest, QgramAndBlockerColumnsHaveNoTokenRows) {
+  const std::vector<Value> col = {Value("Applied Corn, Ecology"),
+                                  Value::Null(), Value("corn")};
+  PrepCache cache;
+  FeaturePrep grams = PrepForFeature({true, /*tokenize=*/true, 3});
+  OverlapBlockerOptions blocker;
+  WhitespaceTokenizer ws;
+  auto qgram = cache.Get(col, grams.options, grams.tokenizer.get());
+  auto blocked =
+      cache.Get(col, internal_block::ToPrepOptions(blocker), &ws);
+  auto text = cache.Get(col, {}, nullptr);
+  for (const auto& c : {qgram, blocked, text}) {
+    ASSERT_EQ(c->rows(), col.size());
+    for (size_t r = 0; r < col.size(); ++r) {
+      const TokenRow row = c->token_row(r);
+      EXPECT_EQ(row.size, 0u) << "row " << r;
+      EXPECT_EQ(row.tokens, nullptr) << "row " << r;
+      EXPECT_EQ(row.ids, nullptr) << "row " << r;
+      EXPECT_EQ(row.signatures, nullptr) << "row " << r;
+    }
+  }
+  for (const auto& c : {qgram, blocked}) {
+    for (size_t r = 0; r < col.size(); ++r) {
+      EXPECT_EQ(c->text(r), "") << "row " << r;
+    }
+  }
+  EXPECT_EQ(qgram->ids(0).size, 23u);  // 21 + 3 - 1 padded 3-grams
+  EXPECT_EQ(blocked->ids(0).size, 3u);
+  EXPECT_EQ(qgram->ids(1).size, 0u);
+  EXPECT_EQ(text->ids(0).size, 0u);
+  EXPECT_EQ(text->text(0), "Applied Corn, Ecology");
+}
+
+// The row sort equals std::sort, repeats kept, on seeded random runs of
+// every length from 0 to 300 with ids below 2^8, 2^16, 2^24 and 2^32 —
+// both sides of the insertion-sort cutoff and every count of radix
+// passes — and on ascending, descending and constant runs.
+TEST(PreparedColumnTest, SortIdsEqualsStdSort) {
+  std::mt19937_64 rng(19);
+  auto expect_sorted = [](std::vector<uint32_t> ids, const char* what) {
+    std::vector<uint32_t> want = ids;
+    std::sort(want.begin(), want.end());
+    internal_prep::SortIds(ids.data(), ids.size());
+    EXPECT_EQ(ids, want) << what << ", " << want.size() << " ids";
+  };
+  for (int bits : {8, 16, 24, 32}) {
+    SCOPED_TRACE("ids below 2^" + std::to_string(bits));
+    const uint64_t bound = uint64_t{1} << bits;
+    for (size_t n = 0; n <= 300; ++n) {
+      // Repeats: draws from a pool of about n / 4 ids of the full range.
+      std::vector<uint32_t> pool(n / 4 + 1);
+      for (uint32_t& id : pool) id = static_cast<uint32_t>(rng() % bound);
+      std::vector<uint32_t> ids(n);
+      for (uint32_t& id : ids) id = pool[rng() % pool.size()];
+      expect_sorted(ids, "with repeats");
+      // No repeats: distinct draws, as many as the range holds.
+      if (n > bound) continue;
+      ids.clear();
+      while (ids.size() < n) {
+        const uint32_t id = static_cast<uint32_t>(rng() % bound);
+        if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
+          ids.push_back(id);
+        }
+      }
+      expect_sorted(ids, "without repeats");
+    }
+    const uint32_t top = static_cast<uint32_t>(bound - 1);
+    std::vector<uint32_t> ascending(300), descending(300);
+    for (uint32_t i = 0; i < 300; ++i) {
+      ascending[i] = top - 299 + i;
+      descending[i] = top - i;
+    }
+    expect_sorted(ascending, "ascending");
+    expect_sorted(descending, "descending");
+    expect_sorted(std::vector<uint32_t>(300, top), "constant");
   }
 }
 
@@ -351,6 +460,40 @@ TEST(PrepCacheTest, DeduplicatesByColumnAndConfig) {
   EXPECT_EQ(p1->rows(), title->size());
 }
 
+// PrepKey tells apart every option and every tokenizer identity, and the
+// cache keys on it: another tokenizer object of the same identity shares
+// the first one's entry.
+TEST(PrepCacheTest, KeysOnPrepKey) {
+  WhitespaceTokenizer ws;
+  WhitespaceTokenizer ws_bag;
+  ws_bag.set_unique(false);
+  QgramTokenizer q3(3);
+  QgramTokenizer q3_nopad(3, /*pad=*/false);
+  std::vector<std::string> keys;
+  for (const Tokenizer* tok : std::vector<const Tokenizer*>{
+           nullptr, &ws, &ws_bag, &q3, &q3_nopad}) {
+    for (bool lc : {false, true}) {
+      for (bool sp : {false, true}) {
+        for (bool rows : {false, true}) {
+          keys.push_back(PrepKey({lc, sp, rows}, tok));
+        }
+      }
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
+
+  const std::vector<Value> col = {Value("alpha beta")};
+  WhitespaceTokenizer other;
+  const PrepOptions opts{true, false, /*token_rows=*/true};
+  EXPECT_EQ(PrepKey(opts, &ws), PrepKey(opts, &other));
+  PrepCache cache;
+  auto a = cache.Get(col, opts, &ws);
+  auto b = cache.Get(col, opts, &other);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(cache.entries(), 1u);
+}
+
 // A padded and an unpadded q-gram tokenizer emit different tokens, so they
 // must not share a cache entry.
 TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
@@ -364,12 +507,16 @@ TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(p->ids(0).size, 6u);
   EXPECT_EQ(u->ids(0).size, 2u);
-  const TokenRow row = u->token_row(0);
-  EXPECT_EQ(std::vector<std::string>(row.tokens, row.tokens + row.size),
-            (std::vector<std::string>{"abc", "bcd"}));
+  // The unpadded column's ids name exactly its two q-grams ("abc" was
+  // interned before "bcd", so sorted ids keep that order).
+  const std::vector<std::string_view> strings = cache.TokenStringsSnapshot();
+  std::vector<std::string_view> tokens;
+  for (uint32_t id : u->ids(0)) tokens.push_back(strings[id]);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"abc", "bcd"}));
 }
 
-// Columns keep their cache's interner alive: their tokens view its strings.
+// Columns keep their cache's interner alive: their token rows view its
+// strings.
 TEST(PrepCacheTest, ColumnOutlivesItsCache) {
   std::vector<Value> col = {Value("alpha beta alpha"), Value::Null(),
                             Value("gamma")};
@@ -379,8 +526,10 @@ TEST(PrepCacheTest, ColumnOutlivesItsCache) {
   std::optional<PreparedColumn> uncached;
   {
     PrepCache cache;
-    cached = cache.Get(col, {}, &ws);
-    uncached.emplace(cache.PrepUncached(col, {}, &q3));
+    PrepOptions with_rows;
+    with_rows.token_rows = true;
+    cached = cache.Get(col, with_rows, &ws);
+    uncached.emplace(cache.PrepUncached(col, with_rows, &q3));
   }
   auto tokens_of = [](const PreparedColumn& c, size_t row) {
     const TokenRow t = c.token_row(row);
@@ -866,22 +1015,29 @@ TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
   ASSERT_GT(run->ml_input.size(), 0u);
   EXPECT_EQ(wf.prep_cache()->entries(), 2u);  // the blockers' two columns
 
+  // The Jaccard feature's word-token family (with token rows) and the
+  // Levenshtein feature's text family.
   const std::vector<Value>& title = **left.ColumnByName("title");
-  FeaturePrep prep = PrepForFeature(features.features[0].prep);
-  auto got = wf.prep_cache()->Get(title, prep.options, prep.tokenizer.get());
-  PrepCache fresh;
-  auto want = fresh.Get(title, prep.options, prep.tokenizer.get());
-  ASSERT_EQ(got->rows(), want->rows());
-  for (size_t r = 0; r < want->rows(); ++r) {
-    EXPECT_EQ(got->is_null(r), want->is_null(r)) << "row " << r;
-    EXPECT_EQ(got->text(r), want->text(r)) << "row " << r;
-    const TokenRow tg = got->token_row(r);
-    const TokenRow tw = want->token_row(r);
-    EXPECT_EQ(std::vector<std::string_view>(tg.tokens, tg.tokens + tg.size),
-              std::vector<std::string_view>(tw.tokens, tw.tokens + tw.size))
-        << "row " << r;
+  for (size_t f : {size_t{0}, size_t{2}}) {
+    FeaturePrep prep = PrepForFeature(features.features[f].prep);
+    auto got =
+        wf.prep_cache()->Get(title, prep.options, prep.tokenizer.get());
+    PrepCache fresh;
+    auto want = fresh.Get(title, prep.options, prep.tokenizer.get());
+    ASSERT_EQ(got->rows(), want->rows());
+    for (size_t r = 0; r < want->rows(); ++r) {
+      EXPECT_EQ(got->is_null(r), want->is_null(r)) << "row " << r;
+      EXPECT_EQ(got->text(r), want->text(r)) << "row " << r;
+      EXPECT_EQ(got->ids(r).size, want->ids(r).size) << "row " << r;
+      const TokenRow tg = got->token_row(r);
+      const TokenRow tw = want->token_row(r);
+      EXPECT_EQ(
+          std::vector<std::string_view>(tg.tokens, tg.tokens + tg.size),
+          std::vector<std::string_view>(tw.tokens, tw.tokens + tw.size))
+          << "row " << r;
+    }
   }
-  EXPECT_EQ(wf.prep_cache()->entries(), 3u);
+  EXPECT_EQ(wf.prep_cache()->entries(), 4u);
 
   EmWorkflow warm = make_workflow();
   PrefillWholeColumns(left, features, /*left_side=*/true,
