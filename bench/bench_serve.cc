@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -241,6 +242,8 @@ int WriteJson(const BenchResult& r) {
   if (!f) return 1;
   const MatchServiceStats& s = r.stats;
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"host_cpus\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"sf\": %g,\n", r.sf);
   std::fprintf(f, "  \"rows_per_side\": %zu,\n", r.rows_per_side);
   std::fprintf(f, "  \"batch_ms\": %.1f,\n", r.batch_ms);

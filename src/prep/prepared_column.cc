@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/core/strings.h"
@@ -14,17 +15,64 @@ namespace {
 // fixed cost (256 counters per pass) outweighs what it saves per id.
 constexpr size_t kInsertionSortBelow = 48;
 
-// Per-thread scratch of PreparedColumn::Append, reused across rows: a
-// tokenized row's normalized text, the tokenizer's views and padding
-// buffer, and an id-indexed stamp array that drops a row's repeated ids
-// without allocating (stamp[id] == row_stamp iff the row already emitted
-// id).
+// Per-thread scratch of the row-prep body, reused across rows: the
+// tokenizer's views, and an id-indexed stamp array that drops a row's
+// repeated ids without allocating (stamp[id] == row_stamp iff the row
+// already emitted id). Append also normalizes into `text` and pads into
+// `buffer`; a query column keeps both itself.
 struct AppendScratch {
   std::string text;
   std::string buffer;
   std::vector<std::string_view> views;
   std::vector<uint32_t> stamp;
   uint32_t row_stamp = 0;
+};
+
+thread_local AppendScratch t_scratch;
+
+// Append's tokens: interned, each viewed as and signed by the interner.
+struct InternedTokens {
+  TokenInterner* interner;
+
+  void Begin(size_t /*max_tokens*/) {}
+  uint32_t Id(std::string_view token) { return interner->Intern(token); }
+  std::string_view View(std::string_view /*token*/, uint32_t id) const {
+    return interner->TokenString(id);
+  }
+  const TokenSignature* Signature(std::string_view /*token*/, uint32_t id) {
+    return interner->Signature(id);
+  }
+};
+
+// PrepQuery's tokens: found in the interner, or else given a local id,
+// base + the token's id in `unseen`, a per-row interner of the tokens the
+// interner lacks (so a repeat gets its first occurrence's id); each
+// viewed where the tokenizer emitted it (the query column's own text or
+// padding) and signed into the column's own array (null without
+// token_rows).
+struct QueryTokens {
+  const TokenInterner* interner;
+  TokenInterner* unseen;
+  std::vector<TokenSignature>* signatures;
+  uint32_t base = 0;
+
+  void Begin(size_t max_tokens) {
+    base = static_cast<uint32_t>(interner->size());
+    unseen->Clear();
+    if (signatures == nullptr) return;
+    signatures->clear();
+    signatures->reserve(max_tokens);  // pointers into it stay valid
+  }
+  uint32_t Id(std::string_view token) {
+    if (std::optional<uint32_t> id = interner->Find(token)) return *id;
+    return base + unseen->Intern(token);
+  }
+  std::string_view View(std::string_view token, uint32_t /*id*/) const {
+    return token;
+  }
+  const TokenSignature* Signature(std::string_view token, uint32_t /*id*/) {
+    return &signatures->emplace_back(MakeTokenSignature(token));
+  }
 };
 
 // A non-null `value` normalized under `options` into `out`.
@@ -108,6 +156,8 @@ PreparedColumn::PreparedColumn(size_t reserve_rows, const PrepOptions& options,
   }
 }
 
+PreparedColumn::PreparedColumn() : PreparedColumn(0, {}, nullptr, nullptr) {}
+
 PreparedColumn::PreparedColumn(const std::vector<Value>& column,
                                const PrepOptions& options,
                                const Tokenizer* tokenizer,
@@ -131,29 +181,31 @@ PreparedColumn::PreparedColumn(const std::vector<Value>& column,
   }
 }
 
-void PreparedColumn::Append(const Value& value, const PrepOptions& options,
-                            const Tokenizer* tokenizer,
-                            TokenInterner* interner) {
+template <typename Tokens>
+void PreparedColumn::AppendRow(const Value& value, const PrepOptions& options,
+                               const Tokenizer* tokenizer, std::string* text,
+                               std::string* buffer, Tokens& tokens) {
   null_.push_back(value.is_null() ? 1 : 0);
-  if (tokenizer == nullptr) {
-    std::string& text = text_.emplace_back();
-    if (!value.is_null()) Normalize(value, options, &text);
-    return;
+  if (value.is_null()) {
+    text->clear();
+  } else {
+    Normalize(value, options, text);
   }
+  if (tokenizer == nullptr) return;
   if (!value.is_null()) {
-    thread_local AppendScratch scratch;
-    Normalize(value, options, &scratch.text);
-    tokenizer->TokenViews(scratch.text, &scratch.buffer, &scratch.views);
+    AppendScratch& scratch = t_scratch;
+    tokenizer->TokenViews(*text, buffer, &scratch.views);
+    tokens.Begin(scratch.views.size());
     const bool unique = tokenizer->unique();
     if (unique && ++scratch.row_stamp == 0) {  // wrapped: forget stamps
       std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
       scratch.row_stamp = 1;
     }
     const size_t first = id_arena_.size();
-    // Interning every view in emission order and dropping repeats by id
+    // Resolving every view in emission order and dropping repeats by id
     // assigns the ids that interning the string-deduplicated tokens did.
     for (std::string_view token : scratch.views) {
-      const uint32_t id = interner->Intern(token);
+      const uint32_t id = tokens.Id(token);
       if (unique) {
         if (id >= scratch.stamp.size()) scratch.stamp.resize(id + 1);
         if (scratch.stamp[id] == scratch.row_stamp) continue;
@@ -162,8 +214,8 @@ void PreparedColumn::Append(const Value& value, const PrepOptions& options,
       id_arena_.push_back(id);
       if (token_rows_) {
         emit_ids_.push_back(id);
-        token_store_.push_back(interner->TokenString(id));
-        signature_store_.push_back(interner->Signature(id));
+        token_store_.push_back(tokens.View(token, id));
+        signature_store_.push_back(tokens.Signature(token, id));
       }
     }
     // Sorted for the merge kernels; duplicates (non-unique tokenizers
@@ -173,6 +225,34 @@ void PreparedColumn::Append(const Value& value, const PrepOptions& options,
                            id_arena_.size() - first);
   }
   offsets_.push_back(static_cast<uint32_t>(id_arena_.size()));
+}
+
+void PreparedColumn::Append(const Value& value, const PrepOptions& options,
+                            const Tokenizer* tokenizer,
+                            TokenInterner* interner) {
+  InternedTokens tokens{interner};
+  std::string* text =
+      tokenizer == nullptr ? &text_.emplace_back() : &t_scratch.text;
+  AppendRow(value, options, tokenizer, text, &t_scratch.buffer, tokens);
+}
+
+void PreparedColumn::PrepQuery(const Value& value, const PrepOptions& options,
+                               const Tokenizer* tokenizer,
+                               const TokenInterner& interner) {
+  tokenized_ = tokenizer != nullptr;
+  token_rows_ = tokenized_ && options.token_rows;
+  interner_.reset();
+  null_.clear();
+  text_.resize(1);
+  id_arena_.clear();
+  offsets_.assign(1, 0);
+  token_store_.clear();
+  emit_ids_.clear();
+  signature_store_.clear();
+  thread_local TokenInterner unseen;
+  QueryTokens tokens{&interner, &unseen,
+                     token_rows_ ? &query_signatures_ : nullptr};
+  AppendRow(value, options, tokenizer, &text_[0], &query_buffer_, tokens);
 }
 
 PrepCache::Key PrepCache::MakeKey(const std::vector<Value>& column,

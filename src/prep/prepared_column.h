@@ -51,10 +51,15 @@ std::string PrepKey(const PrepOptions& options, const Tokenizer* tokenizer);
 // token is a view of the interner's string for its id, with a pointer to
 // the interner's signature for it; the column shares ownership of the
 // interner, so views and pointers stay valid for the column's lifetime.
+// A query column (PrepQuery) is the exception: it holds one row prepped
+// read-only, and owns its views' bytes and its signatures itself.
 //
 // Safe to read from any number of threads while nothing appends to it.
 class PreparedColumn {
  public:
+  // An empty untokenized column holding no interner, for PrepQuery.
+  PreparedColumn();
+
   // Preps every row of `column`. `tokenizer` may be null for text-only
   // prep (string features need no tokens). `interner` is mutated (new
   // tokens interned) during construction and kept alive by the column.
@@ -79,6 +84,23 @@ class PreparedColumn {
   // text() and token_row() returned, so no reader may run concurrently.
   void Append(const Value& value, const PrepOptions& options,
               const Tokenizer* tokenizer, TokenInterner* interner);
+
+  // Replaces every row with the one row `value`, prepped as Append preps
+  // it but read-only against `interner`, which may not change meanwhile
+  // (TokenInterner's const members only, so concurrent PrepQuery calls on
+  // distinct columns are safe):
+  //   - a token the interner knows gets its id (Find); an unseen one gets
+  //     a local id at or above interner.size(), the same for the same
+  //     string within the row and distinct across strings, so it equals
+  //     no id of any column prepped through `interner`;
+  //   - token_row() views point into this column's own copy of the row's
+  //     text, and signatures into its own array (MakeTokenSignature).
+  // So the column holds no interner and no pointer into one. Storage is
+  // reused: a column re-prepped for rows of similar size allocates
+  // nothing. Moving the column may invalidate its token views until the
+  // next PrepQuery.
+  void PrepQuery(const Value& value, const PrepOptions& options,
+                 const Tokenizer* tokenizer, const TokenInterner& interner);
 
   size_t rows() const { return null_.size(); }
   bool is_null(size_t row) const { return null_[row] != 0; }
@@ -117,11 +139,22 @@ class PreparedColumn {
                  const Tokenizer* tokenizer,
                  std::shared_ptr<TokenInterner> interner);
 
+  // The one row-prep body of Append and PrepQuery: normalizes `value` into
+  // *text, tokenizes it (q-gram padding in *buffer), resolves each token
+  // through `tokens` (its id, and with token_rows its view and signature),
+  // drops repeated ids for a unique tokenizer and sorts the row's ids.
+  template <typename Tokens>
+  void AppendRow(const Value& value, const PrepOptions& options,
+                 const Tokenizer* tokenizer, std::string* text,
+                 std::string* buffer, Tokens& tokens);
+
   bool tokenized_;
   bool token_rows_;  // tokenized_ and prepped with token_rows
   std::shared_ptr<const TokenInterner> interner_;  // owns the token strings
   std::vector<uint8_t> null_;
-  std::vector<std::string> text_;  // untokenized columns only
+  // Untokenized columns only, except that a query column keeps its row's
+  // text here whatever its kind: its token views point into it.
+  std::vector<std::string> text_;
   // Tokenized columns only: row r owns [offsets_[r], offsets_[r + 1]) of
   // id_arena_, and with token_rows of the three emission-order arrays too.
   std::vector<uint32_t> id_arena_;  // each row's run sorted
@@ -129,6 +162,10 @@ class PreparedColumn {
   std::vector<std::string_view> token_store_;
   std::vector<uint32_t> emit_ids_;
   std::vector<const TokenSignature*> signature_store_;
+  // A query column only: its row's q-gram padding, which its token views
+  // may point into, and the signatures signature_store_ points at.
+  std::string query_buffer_;
+  std::vector<TokenSignature> query_signatures_;
 };
 
 namespace internal_prep {
@@ -184,12 +221,14 @@ class PrepCache {
       const PrepOptions& options, const Tokenizer* tokenizer);
 
   // Builds a PreparedColumn sharing THIS cache's interner without entering
-  // it into the cache. For columns whose storage address may be reused by
-  // a later, different column — a serve-path query record, a corpus that
-  // grows by Insert: caching them under an address key would let a
-  // recycled address alias a dead entry, so they are prepped fresh while
-  // still interning into the shared id universe (spans remain directly
-  // comparable with every cached column).
+  // it into the cache. For a column whose storage address may be reused
+  // by a later, different column, such as a served corpus that grows by
+  // Insert: caching it under an address key would let a recycled address
+  // alias a dead entry, so it is prepped fresh while still interning into
+  // the shared id universe (spans remain directly comparable with every
+  // cached column). A served query record is not prepped here: it goes
+  // through PreparedColumn::PrepQuery against interner(), and interns
+  // nothing.
   PreparedColumn PrepUncached(const std::vector<Value>& column,
                               const PrepOptions& options,
                               const Tokenizer* tokenizer);
@@ -198,6 +237,12 @@ class PrepCache {
   // built by PrepUncached with the same options and tokenizer.
   void AppendUncached(PreparedColumn* column, const Value& value,
                       const PrepOptions& options, const Tokenizer* tokenizer);
+
+  // The cache's interner, for read-only use without the cache mutex. The
+  // caller must ensure nothing interns through this cache while it reads:
+  // MatchService reads it under its shared lock, and interns (Insert)
+  // only under its exclusive one.
+  const TokenInterner& interner() const { return *interner_; }
 
   // Snapshot of id -> token string for every token interned so far. The
   // views point at interner storage, which is append-only and

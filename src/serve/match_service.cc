@@ -25,6 +25,19 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
+// Per-thread lookup scratch, reused across lookups and across services:
+// one query column per query spec (slot i serves spec i of whichever
+// service the thread is looking up in) and the index probe's counters.
+// Between lookups it holds no pointer into any service: a query column's
+// views and signatures point into the column itself, and a slot is read
+// only after the current lookup has prepped it.
+struct LookupScratch {
+  std::vector<PreparedColumn> queries;
+  DeltaTokenIndex::ProbeScratch probe;
+};
+
+thread_local LookupScratch t_lookup;
+
 }  // namespace
 
 // One (attribute, normalization, tokenizer) family of resident corpus
@@ -38,9 +51,9 @@ struct MatchService::CorpusPrep {
   PreparedColumn column;
 };
 
-// Query-side prep descriptor: at each Lookup, one single-cell
-// PreparedColumn is built per spec (through the service cache's interner,
-// uncached — query storage addresses are ephemeral).
+// Query-side prep descriptor: a lookup that reads the spec preps the
+// query's cell into the calling thread's scratch column for it
+// (PreparedColumn::PrepQuery, read-only against the service's interner).
 struct MatchService::QuerySpec {
   std::string attr;
   PrepOptions opts;
@@ -241,6 +254,15 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     svc->bindings_.push_back(binding);
   }
 
+  // Query specs by when a lookup preps them: the index groups' before the
+  // probe, the rest only once some record reaches the matcher.
+  std::vector<uint8_t> blocking(svc->query_specs_.size(), 0);
+  for (const auto& g : svc->index_groups_) blocking[g->query_spec] = 1;
+  for (size_t i = 0; i < blocking.size(); ++i) {
+    (blocking[i] ? svc->block_specs_ : svc->feature_specs_)
+        .push_back(static_cast<int>(i));
+  }
+
   // Bulk-load each blocking index from its prepared column, snapshot once,
   // then arm the serving compaction threshold.
   for (auto& g : svc->index_groups_) {
@@ -294,13 +316,32 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   Clock::time_point t_total = Clock::now();
   std::shared_lock<std::shared_mutex> lock(mu_);
 
+  // Query prep: spec i's query cell into scratch slot i, read-only
+  // against the interner (Insert, the one interning path, waits for the
+  // shared lock). As in batch, a query without the spec's column is
+  // NotFound.
+  LookupScratch& scratch = t_lookup;
+  if (scratch.queries.size() < query_specs_.size()) {
+    scratch.queries.resize(query_specs_.size());
+  }
+  const TokenInterner& interner = prep_cache_->interner();
+  auto prep = [&](int s) -> Status {
+    const QuerySpec& spec = *query_specs_[s];
+    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* col,
+                         query.ColumnByName(spec.attr));
+    scratch.queries[s].PrepQuery((*col)[query_row], spec.opts,
+                                 spec.tokenizer.get(), interner);
+    query_prep_builds_.fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
+  };
+
   // Stage: positive rules (C1 restricted to this query row).
   Clock::time_point t0 = Clock::now();
   std::vector<uint32_t> sure = SureMatches(query, query_row);
   double rules_us = MicrosSince(t0);
 
-  // Stage: block — AE blockers read their key indexes; then prep the query
-  // record once per spec, probe each token index and replay every token
+  // Stage: block — AE blockers read their key indexes; then prep the
+  // query's blocking specs, probe each token index and replay every token
   // blocker's keep predicate.
   t0 = Clock::now();
   for (const AeIndex& ae : ae_indexes_) {
@@ -308,37 +349,24 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
     EMX_RETURN_IF_ERROR(query.ColumnByName(ae.query.attr).status());
   }
   std::vector<uint32_t> blocked = AeHits(query, query_row);
-  std::vector<PreparedColumn> qpreps;
-  qpreps.reserve(query_specs_.size());
-  for (const auto& spec : query_specs_) {
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* col,
-                         query.ColumnByName(spec->attr));
-    std::vector<Value> cell{(*col)[query_row]};
-    qpreps.push_back(
-        prep_cache_->PrepUncached(cell, spec->opts, spec->tokenizer.get()));
-    query_prep_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  {
-    thread_local DeltaTokenIndex::ProbeScratch scratch;
-    for (const auto& g : index_groups_) {
-      IdSpan qids = qpreps[g->query_spec].ids(0);
-      std::vector<const BlockPredicate*> eligible;
-      eligible.reserve(g->preds.size());
-      for (const BlockPredicate& p : g->preds) {
-        if (qids.size >= p.min_left_tokens) eligible.push_back(&p);
-      }
-      if (eligible.empty()) continue;
-      g->index.Probe(qids, &scratch, [&](uint32_t r, uint32_t overlap) {
-        size_t rsize = g->index.record_ids(r).size;
-        for (const BlockPredicate* p : eligible) {
-          if (p->keep(qids.size, rsize, overlap)) {
-            blocked.push_back(r);
-            break;
-          }
-        }
-      });
+  for (int s : block_specs_) EMX_RETURN_IF_ERROR(prep(s));
+  for (const auto& g : index_groups_) {
+    IdSpan qids = scratch.queries[g->query_spec].ids(0);
+    std::vector<const BlockPredicate*> eligible;
+    eligible.reserve(g->preds.size());
+    for (const BlockPredicate& p : g->preds) {
+      if (qids.size >= p.min_left_tokens) eligible.push_back(&p);
     }
+    if (eligible.empty()) continue;
+    g->index.Probe(qids, &scratch.probe, [&](uint32_t r, uint32_t overlap) {
+      size_t rsize = g->index.record_ids(r).size;
+      for (const BlockPredicate* p : eligible) {
+        if (p->keep(qids.size, rsize, overlap)) {
+          blocked.push_back(r);
+          break;
+        }
+      }
+    });
   }
   std::sort(blocked.begin(), blocked.end());
   blocked.erase(std::unique(blocked.begin(), blocked.end()), blocked.end());
@@ -355,24 +383,29 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
                       sure.end(), std::back_inserter(ml_records));
   double block_us = MicrosSince(t0);
 
-  // Stage: vectorize — the batch vectorizer's EvaluateFeatures over
-  // (query, record) pairs; the query's prepared columns and cells are row 0.
+  // Stage: vectorize — only when some record reaches the matcher, as
+  // batch binds features only for a non-empty ML input: prep the
+  // feature-only specs (a query without a feature's column is NotFound
+  // exactly then), then run the batch vectorizer's EvaluateFeatures over
+  // (query, record) pairs; the query's prepared columns and cells are
+  // row 0.
   t0 = Clock::now();
-  size_t n = ml_records.size();
-  size_t width = features_.features.size();
-  PairBatch batch(matcher_ != nullptr ? n : 0, width);
-  batch.feature_names = features_.names();
-  if (matcher_ != nullptr && n > 0) {
+  const size_t n = matcher_ != nullptr ? ml_records.size() : 0;
+  PairBatch batch;
+  if (n > 0) {
+    for (int s : feature_specs_) EMX_RETURN_IF_ERROR(prep(s));
+    const size_t width = features_.features.size();
+    batch.Reset(n, width);
+    batch.feature_names = features_.names();
     std::vector<std::vector<Value>> query_cells(width);
     std::vector<FeatureInputs> inputs(width);
     for (size_t fi = 0; fi < width; ++fi) {
       const FeatureBinding& b = bindings_[fi];
       if (b.query_spec >= 0) {
-        inputs[fi].left_prep = &qpreps[b.query_spec];
+        inputs[fi].left_prep = &scratch.queries[b.query_spec];
         inputs[fi].right_prep = &corpus_preps_[b.corpus_prep]->column;
         continue;
       }
-      // As in batch, a query without the feature's column is NotFound.
       EMX_ASSIGN_OR_RETURN(
           const std::vector<Value>* col,
           query.ColumnByName(features_.features[fi].left_attr));
@@ -391,7 +424,7 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   // Stage: score.
   t0 = Clock::now();
   std::vector<std::pair<uint32_t, double>> predicted;
-  if (matcher_ != nullptr && n > 0) {
+  if (n > 0) {
     std::vector<double> proba = matcher_->PredictProbaBatch(batch);
     predicted.reserve(proba.size());
     for (size_t i = 0; i < proba.size(); ++i) {
@@ -505,6 +538,7 @@ MatchServiceStats MatchService::Stats() const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     out.total_records = corpus_.num_rows();
+    out.interned_tokens = prep_cache_->interner().size();
     size_t live = 0;
     for (uint8_t l : live_) live += l;
     out.live_records = live;

@@ -59,16 +59,25 @@ struct MatchServiceStats {
   // must never move this counter — the "zero re-prep work" regression
   // contract.
   uint64_t corpus_preps = 0;
-  // Single-row preps of incoming query records (inherent per-lookup work).
+  // Query specs actually prepped, one single-row prep each: every lookup
+  // preps its blocking specs, and the feature-only specs only when some
+  // record reaches the matcher. A query prep interns nothing.
   uint64_t query_preps = 0;
+  // Distinct tokens in the service's interner: the corpus's, plus those
+  // that Inserts brought. Lookups never move it, so memory stays bounded
+  // however many novel query tokens arrive.
+  size_t interned_tokens = 0;
   uint64_t compactions = 0;      // summed over blocking indexes
   uint64_t delta_postings = 0;   // currently pending, summed
   uint64_t dead_postings = 0;    // currently tombstoned, summed
   size_t live_records = 0;
   size_t total_records = 0;
   // Per-stage lookup latency over the ring window.
-  LatencySummary block;      // query prep + index probe + keep predicates
-  LatencySummary vectorize;  // PairBatch fill + imputation
+  LatencySummary block;      // blocking specs' query prep + index probe +
+                             // keep predicates
+  LatencySummary vectorize;  // feature-only query prep + PairBatch fill +
+                             // imputation (0 when no record reaches the
+                             // matcher)
   LatencySummary score;      // forest inference + thresholding
   LatencySummary rules;      // positive scan + negative filtering
   LatencySummary total;
@@ -104,6 +113,14 @@ struct MatchServiceStats {
 // prepped state mid-service — see DESIGN.md §12) and its own corpus
 // prepared columns, so an unrelated in-process batch run costs the service
 // neither correctness nor re-prep.
+//
+// Lookups are read-only: a lookup preps only the query specs its answer
+// reads (the blocking specs always, the feature-only specs only when some
+// record reaches the matcher) into per-thread scratch, resolving tokens
+// with the interner's const Find and giving unseen tokens lookup-local
+// ids. It interns nothing, so memory does not grow with novel query
+// tokens, and takes no lock but the shared one and the latency-ring
+// mutex.
 //
 // Thread-safety: any number of concurrent Lookups (shared lock); Insert /
 // Remove / Compact take the exclusive lock. Stats() is safe concurrently
@@ -183,13 +200,18 @@ class MatchService {
   FeatureSet features_;
   MeanImputer imputer_;
 
-  // The service-owned cache: interner + build lock. Never Cleared.
+  // The service-owned cache: interner + build lock. Never Cleared. Create
+  // and Insert intern through it; lookups read its interner unlocked.
   std::shared_ptr<PrepCache> prep_cache_;
   std::vector<std::unique_ptr<CorpusPrep>> corpus_preps_;
   std::vector<std::unique_ptr<QuerySpec>> query_specs_;
   std::vector<std::unique_ptr<IndexGroup>> index_groups_;
   std::vector<FeatureBinding> bindings_;
   std::vector<AeIndex> ae_indexes_;
+  // Indexes into query_specs_: the index groups' specs, which every lookup
+  // preps before its probe, and the rest, which only features read.
+  std::vector<int> block_specs_;
+  std::vector<int> feature_specs_;
 
   mutable std::shared_mutex mu_;
 

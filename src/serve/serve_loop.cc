@@ -142,6 +142,8 @@ Result<JsonValue> ApplyRequest(MatchService& service, const JsonValue& req) {
             JsonValue::Number(static_cast<double>(s.corpus_preps)));
     out.Set("query_preps",
             JsonValue::Number(static_cast<double>(s.query_preps)));
+    out.Set("interned_tokens",
+            JsonValue::Number(static_cast<double>(s.interned_tokens)));
     out.Set("compactions",
             JsonValue::Number(static_cast<double>(s.compactions)));
     out.Set("delta_postings",

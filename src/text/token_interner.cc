@@ -58,6 +58,14 @@ uint32_t TokenInterner::Intern(std::string_view token) {
   return slot.id_plus_one - 1;
 }
 
+void TokenInterner::Clear() {
+  if (strings_.empty()) return;
+  strings_.clear();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  signatures_.clear();
+  signature_of_.clear();
+}
+
 std::optional<uint32_t> TokenInterner::Find(std::string_view token) const {
   if (slots_.empty()) return std::nullopt;
   const Slot& slot = slots_[Probe(token, Hash(token))];

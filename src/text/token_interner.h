@@ -61,8 +61,11 @@ struct TokenRow {
 // (hash, id) slots over that deque: no node per token, and growing the
 // table moves 8-byte slots, never strings.
 //
-// Not internally synchronized — PrepCache serializes all access under its
-// own mutex.
+// Not internally synchronized. The const members (Find, TokenString, size)
+// may run concurrently with each other while nothing interns; Intern and
+// Signature mutate and need exclusive access. PrepCache serializes its
+// interning under its own mutex; MatchService's lookups call only the
+// const members, under the service's shared lock.
 class TokenInterner {
  public:
   TokenInterner() = default;
@@ -75,16 +78,21 @@ class TokenInterner {
   // Id of `token` if already interned.
   std::optional<uint32_t> Find(std::string_view token) const;
 
-  // The string for an id; reference stable for the interner's lifetime.
+  // The string for an id; reference stable until Clear.
   const std::string& TokenString(uint32_t id) const { return strings_[id]; }
 
   // Number of distinct tokens interned so far (== smallest unassigned id).
   size_t size() const { return strings_.size(); }
 
+  // Forgets every token, so ids restart at 0 and every string reference
+  // and signature handed out dangles; keeps the table's storage.
+  void Clear();
+
   // The signature of an interned id, computed on its first request and
-  // kept at a stable address for the interner's lifetime. Readers hold the
+  // kept at a stable address until Clear. Readers hold the
   // pointer, never an index into the interner: another thread may intern
-  // (under PrepCache's mutex) while they score.
+  // (under PrepCache's mutex) while they score. Mutates on an id's first
+  // request, so a read-only caller computes MakeTokenSignature itself.
   const TokenSignature* Signature(uint32_t id);
 
  private:

@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -289,6 +294,30 @@ EmWorkflow BuildScaleWorkflow() {
   return wf;
 }
 
+// An overlap K=3 title blocker and a tree over the one feature `f`.
+EmWorkflow OneFeatureWorkflow(const Feature& f) {
+  EmWorkflow wf;
+  OverlapBlockerOptions opts;
+  opts.left_attr = "AwardTitle";
+  opts.right_attr = "AwardTitle";
+  wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 3));
+  FeatureSet features;
+  features.features.push_back(f);
+  Dataset d;
+  d.feature_names = features.names();
+  d.x = {{0.0}, {9.0}};
+  d.y = {1, 0};
+  FeatureMatrix m;
+  m.feature_names = d.feature_names;
+  m.rows = d.x;
+  MeanImputer imputer;
+  imputer.Fit(m);
+  auto tree = std::make_shared<DecisionTreeMatcher>();
+  EXPECT_TRUE(tree->Fit(d).ok());
+  wf.SetMatcher(std::move(tree), std::move(features), std::move(imputer));
+  return wf;
+}
+
 const ScaleFixture& Scale() {
   static const ScaleFixture& fx = *[] {
     auto* f = new ScaleFixture();
@@ -545,9 +574,12 @@ TEST(MatchServiceIngestTest, RemoveHidesRecordImmediately) {
 // --- residency / ownership -------------------------------------------------------
 
 // The zero-re-prep contract: after Create, corpus prep work NEVER happens
-// on the lookup path. 1000 repeated lookups leave the corpus_preps counter
-// untouched and (on plain builds) settle to an exactly constant per-lookup
-// allocation count on the calling thread.
+// on the lookup path. 1000 repeated lookups, alternating a record that
+// reaches the matcher and one that does not, leave the corpus_preps
+// counter untouched and (on plain builds) settle to an exactly constant
+// per-lookup allocation count on the calling thread for each record. The
+// lookup that reaches no matcher preps fewer query specs and allocates
+// less.
 TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   const CaseStudyFixture& fx = CaseStudy();
   auto svc = MatchService::Create(fx.wf, fx.tables.usda);
@@ -555,36 +587,67 @@ TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   const uint64_t preps_after_create = (*svc)->Stats().corpus_preps;
   EXPECT_GT(preps_after_create, 0u);
 
-  auto one_lookup = [&] {
-    auto r = (*svc)->Lookup(fx.tables.umetrics, 17);
+  auto one_lookup = [&](size_t q) {
+    auto r = (*svc)->Lookup(fx.tables.umetrics, q);
     ASSERT_TRUE(r.ok());
   };
-  for (int i = 0; i < 3; ++i) one_lookup();  // warm thread-local scratch
+  auto reaches_matcher = [&](size_t q) {
+    auto r = (*svc)->Lookup(fx.tables.umetrics, q);
+    EXPECT_TRUE(r.ok());
+    return r.ok() && r->num_candidates > r->num_sure;
+  };
+  const size_t no_ml_row = 17;  // every candidate of it is a sure match
+  ASSERT_FALSE(reaches_matcher(no_ml_row));
+  size_t ml_row = 0;
+  while (ml_row < fx.tables.umetrics.num_rows() && !reaches_matcher(ml_row)) {
+    ++ml_row;
+  }
+  ASSERT_LT(ml_row, fx.tables.umetrics.num_rows());
+  auto query_preps_of = [&](size_t q) {
+    const uint64_t before = (*svc)->Stats().query_preps;
+    one_lookup(q);
+    return (*svc)->Stats().query_preps - before;
+  };
+  EXPECT_LT(query_preps_of(no_ml_row), query_preps_of(ml_row));
+  for (int i = 0; i < 3; ++i) {  // warm thread-local scratch
+    one_lookup(ml_row);
+    one_lookup(no_ml_row);
+  }
 
 #ifdef EMX_COUNT_ALLOCATIONS
-  auto count_allocs = [&] {
+  auto count_allocs = [&](size_t q) {
     t_alloc_count = 0;
     t_count_allocs = true;
-    one_lookup();
+    one_lookup(q);
     t_count_allocs = false;
     return t_alloc_count;
   };
-  const size_t warm = count_allocs();
+  const size_t warm = count_allocs(ml_row);
+  const size_t warm_no_ml = count_allocs(no_ml_row);
+  EXPECT_LT(warm_no_ml, warm);
+  RecordProperty("warm_allocs_ml", std::to_string(warm));
+  RecordProperty("warm_allocs_no_ml", std::to_string(warm_no_ml));
 #endif
 
-  for (int i = 0; i < 1000; ++i) one_lookup();
+  for (int i = 0; i < 500; ++i) {
+    one_lookup(ml_row);
+    one_lookup(no_ml_row);
+  }
 
 #ifdef EMX_COUNT_ALLOCATIONS
-  EXPECT_EQ(count_allocs(), warm)
-      << "lookup #1004 allocates more than lookup #4: per-lookup state is "
-         "being rebuilt";
+  EXPECT_EQ(count_allocs(ml_row), warm)
+      << "a late lookup allocates more than an early one: per-lookup state "
+         "is being rebuilt";
+  EXPECT_EQ(count_allocs(no_ml_row), warm_no_ml)
+      << "a late lookup that reaches no matcher allocates more than an "
+         "early one";
 #endif
   MatchServiceStats stats = (*svc)->Stats();
   EXPECT_EQ(stats.corpus_preps, preps_after_create)
       << "lookups re-prepped corpus columns";
-  // 3 warm + 1000 steady-state; the two counting lookups exist only on
+  // 6 warm + 1000 steady-state; the counting lookups exist only on
   // unsanitized builds.
-  EXPECT_GE(stats.lookups, 1003u);
+  EXPECT_GE(stats.lookups, 1006u);
   EXPECT_GT(stats.query_preps, 0u);
 }
 
@@ -690,6 +753,306 @@ TEST(MatchServiceLookupTest, MissingQueryColumnIsError) {
             StatusCode::kNotFound);
   EXPECT_EQ((*svc_numeric)->Lookup(no_year, 0).status().code(),
             StatusCode::kNotFound);
+
+  // A feature's missing column fails exactly when some record reaches the
+  // matcher, as batch binds features only for a non-empty ML input, for a
+  // prepared feature and a Value-fn feature alike: one title shares the
+  // blocker's K=3 tokens with corpus record 0, the other shares none.
+  for (const Feature& f :
+       {MakeJaccardFeature("PIName", "Director"),
+        MakeAbsDiffFeature("StartYear", "StartYear")}) {
+    EmWorkflow one = OneFeatureWorkflow(f);
+    auto svc_one = MatchService::Create(one, small->right);
+    ASSERT_TRUE(svc_one.ok()) << svc_one.status().ToString();
+    for (const std::string& title :
+         {small->right.at(0, "AwardTitle").AsString(),
+          std::string("zzqx florp")}) {
+      Table titles(Schema({{"AwardTitle", DataType::kString}}));
+      ASSERT_TRUE(titles.AppendRow({Value(title)}).ok());
+      // A fresh workflow per run: its prep cache keys on column addresses,
+      // which the previous iteration's freed table may share.
+      auto batch = OneFeatureWorkflow(f).Run(titles, small->right);
+      auto served = (*svc_one)->Lookup(titles, 0);
+      EXPECT_EQ(served.status().code(), batch.status().code())
+          << f.name << " / '" << title << "'";
+      EXPECT_EQ(served.status().code(), title == "zzqx florp"
+                                            ? StatusCode::kOk
+                                            : StatusCode::kNotFound)
+          << f.name << " / '" << title << "'";
+    }
+  }
+}
+
+
+// --- read-only query prep --------------------------------------------------------
+
+// A lowercase word of 4-9 random letters: no generated corpus holds one.
+std::string RandomWord(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> len(4, 9), letter(0, 25);
+  std::string w(static_cast<size_t>(len(rng)), 'a');
+  for (char& c : w) c = static_cast<char>('a' + letter(rng));
+  return w;
+}
+
+// `count` query records: row i copies left row (7 i) mod |left| with a new
+// `attr` value. The values cycle through every way a query token can be
+// unknown to the service's interner, or known: a corpus value; random
+// words; the row's own value with random letter case; a corpus value with
+// a novel word and a known word each repeated; a value shorter than a
+// q-gram; the empty value; null; and corpus words interleaved with random
+// ones, some repeated.
+Table NovelTokenQueries(const Table& left, const Table& corpus,
+                        const std::string& attr, size_t count) {
+  std::mt19937_64 rng(20190326);
+  const size_t col = static_cast<size_t>(left.schema().IndexOf(attr));
+  auto corpus_value = [&] {
+    std::uniform_int_distribution<size_t> row(0, corpus.num_rows() - 1);
+    return corpus.at(row(rng), attr).AsString();
+  };
+  auto words_of = [](const std::string& s) {
+    std::vector<std::string> out;
+    std::istringstream in(s);
+    for (std::string w; in >> w;) out.push_back(w);
+    return out;
+  };
+  Table out(left.schema());
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<Value> row = left.Row((7 * i) % left.num_rows());
+    std::string v;
+    switch (i % 8) {
+      case 0:
+        v = corpus_value();
+        break;
+      case 1:
+        for (int k = 0; k < 5; ++k) v += RandomWord(rng) + " ";
+        break;
+      case 2:
+        v = row[col].is_null() ? corpus_value() : row[col].AsString();
+        for (char& c : v) {
+          if (rng() % 2) c = static_cast<char>(std::toupper(c));
+          else c = static_cast<char>(std::tolower(c));
+        }
+        break;
+      case 3: {
+        const std::string novel = RandomWord(rng);
+        v = corpus_value();
+        const std::vector<std::string> words = words_of(v);
+        const std::string known = words.empty() ? "the" : words[0];
+        v += " " + novel + " " + known + " " + novel;
+        break;
+      }
+      case 4:
+        v = std::string(1 + rng() % 2, static_cast<char>('a' + rng() % 26));
+        break;
+      case 5:
+        break;  // empty
+      case 6:
+        row[col] = Value::Null();
+        break;
+      case 7: {
+        for (const std::string& w : words_of(corpus_value())) {
+          v += w + " ";
+          if (rng() % 2) v += RandomWord(rng) + " ";
+        }
+        const std::string novel = RandomWord(rng);
+        v += novel + " " + novel;
+        break;
+      }
+    }
+    if (i % 8 != 6) row[col] = Value(v);
+    EXPECT_TRUE(out.AppendRow(std::move(row)).ok());
+  }
+  return out;
+}
+
+// Every lookup of NovelTokenQueries(attr) equals the batch workflow run
+// over the query table: matches, provenance, candidate and sure counts,
+// and each ML match's score equals the batch probability of its pair. The
+// lookups intern nothing. `wf` must be freshly built: its prep cache keys
+// on column addresses, which an earlier call's freed query table may
+// share.
+void ExpectNovelTokenLookupsMatchBatch(const EmWorkflow& wf,
+                                       const Table& left, const Table& corpus,
+                                       const std::string& attr) {
+  const Table queries = NovelTokenQueries(left, corpus, attr, 400);
+  auto run = wf.Run(queries, corpus);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<PerRecordOracle> oracle =
+      SliceByLeft(*run, queries.num_rows());
+  std::map<std::pair<uint32_t, uint32_t>, double> proba;
+  if (!run->ml_input.empty()) {
+    auto batch = VectorizePairsBatch(queries, corpus, run->ml_input,
+                                     wf.features());
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_TRUE(wf.imputer().Transform(*batch).ok());
+    const std::vector<double> p = wf.matcher()->PredictProbaBatch(*batch);
+    for (size_t i = 0; i < p.size(); ++i) {
+      proba[{run->ml_input[i].left, run->ml_input[i].right}] = p[i];
+    }
+  }
+  auto svc = MatchService::Create(wf, corpus);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  const size_t interned = (*svc)->Stats().interned_tokens;
+  size_t ml_matches = 0;
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    ExpectLookupMatchesOracle(**svc, queries, q, oracle[q]);
+    auto got = (*svc)->Lookup(queries, q);
+    ASSERT_TRUE(got.ok());
+    for (const RankedMatch& m : got->matches) {
+      if (m.provenance != "ml") continue;
+      auto it = proba.find({static_cast<uint32_t>(q), m.record});
+      ASSERT_NE(it, proba.end()) << "left row " << q;
+      EXPECT_EQ(m.score, it->second) << "left row " << q;
+      ++ml_matches;
+    }
+  }
+  EXPECT_GT(ml_matches, 0u);
+  EXPECT_EQ((*svc)->Stats().interned_tokens, interned);
+}
+
+// Unseen query tokens get lookup-local ids that no corpus column holds,
+// one per distinct string within a row, and their Monge-Elkan signatures
+// are computed in scratch: answers stay bit-identical to batch, which
+// interns them. The case study's servable workflow (35 features,
+// Monge-Elkan among them) perturbs titles and employee names; the scale
+// workflow perturbs titles.
+TEST(MatchServiceQueryTokenTest, UnseenTokensMatchBatch) {
+  const CaseStudyFixture& cs = CaseStudy();
+  ASSERT_EQ(cs.wf.features().features.size(), 35u);
+  for (const char* attr : {"AwardTitle", "EmployeeName"}) {
+    SCOPED_TRACE(attr);
+    ExpectNovelTokenLookupsMatchBatch(
+        BuildServableCaseStudyWorkflow(cs.trained), cs.tables.umetrics,
+        cs.tables.usda, attr);
+  }
+  ScaleCorpusOptions options;
+  options.scale_factor = 1.0;
+  auto sc = GenerateScaleCorpus(options);
+  ASSERT_TRUE(sc.ok());
+  SCOPED_TRACE("scale");
+  ExpectNovelTokenLookupsMatchBatch(BuildScaleWorkflow(), sc->left, sc->right,
+                                    "AwardTitle");
+}
+
+// Memory stays bounded: 100,000 lookups of random-word titles (every
+// 100th also carries a corpus title, so it reaches the matcher) leave the
+// service's interner as it was, while one Insert of a novel token grows
+// it.
+TEST(MatchServiceMemoryTest, NovelTokenLookupsInternNothing) {
+  ScaleCorpusOptions options;
+  options.scale_factor = 0.2;
+  auto small = GenerateScaleCorpus(options);
+  ASSERT_TRUE(small.ok());
+  auto svc = MatchService::Create(BuildScaleWorkflow(), small->right);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  const MatchServiceStats before = (*svc)->Stats();
+
+  std::mt19937_64 rng(4);
+  Table queries(Schema({{"AwardTitle", DataType::kString}}));
+  for (size_t i = 0; i < 100000; ++i) {
+    std::string title;
+    if (i % 100 == 0) {
+      title = small->right.at(i / 100 % small->right.num_rows(), "AwardTitle")
+                  .AsString() + " ";
+    }
+    for (int k = 0; k < 4; ++k) title += RandomWord(rng) + " ";
+    ASSERT_TRUE(queries.AppendRow({Value(title)}).ok());
+  }
+  size_t matched = 0;
+  for (size_t q = 0; q < queries.num_rows(); ++q) {
+    auto got = (*svc)->Lookup(queries, q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    matched += !got->matches.empty();
+  }
+  const MatchServiceStats after = (*svc)->Stats();
+  EXPECT_GT(matched, 0u);
+  EXPECT_EQ(after.lookups - before.lookups, 100000u);
+  EXPECT_EQ(after.interned_tokens, before.interned_tokens);
+
+  auto id = (*svc)->Insert({Value("new"), Value("Zqxwv Florpish Study"),
+                            Value("Someone"), Value(int64_t{2001})});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_GT((*svc)->Stats().interned_tokens, after.interned_tokens);
+}
+
+// Four threads look up while a fifth inserts records (from another
+// corpus, so bringing tokens the service had not seen) and removes them
+// again, with compactions along the way. Every lookup's matches among the
+// base records equal the batch oracle's.
+TEST(MatchServiceConcurrencyTest, LookupsDuringInsertsAndRemovesMatchBatch) {
+  ScaleCorpusOptions options;
+  options.scale_factor = 1.0;
+  auto base = GenerateScaleCorpus(options);
+  ASSERT_TRUE(base.ok());
+  options.seed = 7;
+  options.scale_factor = 0.5;
+  auto extra = GenerateScaleCorpus(options);
+  ASSERT_TRUE(extra.ok());
+  const EmWorkflow wf = BuildScaleWorkflow();
+  auto run = wf.Run(base->left, base->right);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<PerRecordOracle> oracle =
+      SliceByLeft(*run, base->left.num_rows());
+  MatchServiceOptions opts;
+  opts.compact_threshold = 64;
+  auto created = MatchService::Create(wf, base->right, opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  MatchService& svc = **created;
+  const uint32_t base_records = static_cast<uint32_t>(base->right.num_rows());
+
+  // Every 25 lookups, a lookup thread waits (outside the service's lock)
+  // for the next mutation, so lookups and mutations interleave however
+  // the shared mutex schedules its waiters.
+  std::atomic<bool> done{false};
+  std::atomic<bool> mutator_exited{false};
+  std::atomic<uint64_t> mutations{0};
+  std::thread mutator([&] {
+    std::vector<uint32_t> inserted;
+    for (size_t next = 0; !done.load(); ++next) {
+      auto id = svc.Insert(extra->right.Row(next % extra->right.num_rows()));
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      if (!id.ok()) break;
+      inserted.push_back(*id);
+      if (inserted.size() % 2 == 0) {
+        EXPECT_TRUE(svc.Remove(inserted[inserted.size() / 2]).ok());
+      }
+      mutations.fetch_add(1);
+    }
+    mutator_exited.store(true);
+  });
+  constexpr size_t kLookupThreads = 4;
+  std::vector<std::thread> lookups;
+  for (size_t t = 0; t < kLookupThreads; ++t) {
+    lookups.emplace_back([&, t] {
+      uint64_t seen = mutations.load();
+      size_t made = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t q = t; q < base->left.num_rows(); q += kLookupThreads) {
+          if (++made % 25 == 0) {
+            while (mutations.load() == seen && !mutator_exited.load()) {
+              std::this_thread::yield();
+            }
+            seen = mutations.load();
+          }
+          auto got = svc.Lookup(base->left, q);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          std::map<uint32_t, std::string> among_base;
+          for (const RankedMatch& m : got->matches) {
+            if (m.record < base_records) among_base[m.record] = m.provenance;
+          }
+          EXPECT_EQ(among_base, oracle[q].matches) << "left row " << q;
+        }
+      }
+    });
+  }
+  for (std::thread& t : lookups) t.join();
+  done.store(true);
+  mutator.join();
+  const MatchServiceStats stats = svc.Stats();
+  EXPECT_EQ(stats.lookups, 2 * base->left.num_rows());
+  EXPECT_GT(stats.inserts, 0u);
+  EXPECT_GT(stats.removes, 0u);
+  EXPECT_GT(stats.compactions, 0u);
 }
 
 }  // namespace

@@ -158,6 +158,20 @@ TEST(TokenInternerTest, DenseIdsAndStableStringsAcrossRehashes) {
   EXPECT_FALSE(interner.Find(prefix).has_value());
 }
 
+TEST(TokenInternerTest, ClearRestartsIds) {
+  TokenInterner interner;
+  interner.Clear();  // clearing an empty interner is a no-op
+  for (int i = 0; i < 100; ++i) interner.Intern("t" + std::to_string(i));
+  interner.Clear();
+  EXPECT_EQ(interner.size(), 0u);
+  EXPECT_FALSE(interner.Find("t7").has_value());
+  EXPECT_EQ(interner.Intern("t7"), 0u);
+  EXPECT_EQ(interner.Intern("new"), 1u);
+  EXPECT_EQ(*interner.Find("t7"), 0u);
+  EXPECT_EQ(interner.TokenString(1), "new");
+  EXPECT_EQ(interner.Signature(1)->length, 3u);
+}
+
 // ---------- id-span kernels vs string kernels ----------
 
 // Interns a token vector and returns its sorted id list (duplicates kept,
@@ -352,6 +366,68 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
           << "row " << r;
       EXPECT_EQ(tg.size, c.opts.token_rows ? grown.ids(r).size : 0u)
           << "row " << r;
+    }
+  }
+}
+
+// A query column prepped read-only equals the row Append preps into a
+// fresh copy of the corpus interner, and the interner is left as it was:
+// a known token gets its interned id, and the unseen tokens get ids from
+// interner.size() on in first-seen order, one per distinct string, just
+// as interning them would assign. Checked for whitespace tokens with
+// token rows (views and signatures), lean and bag q-grams and text-only
+// prep, over known, unseen, repeated, short, empty and null values, with
+// one column reused for every value.
+TEST(PreparedColumnTest, PrepQueryEqualsAppendAndInternsNothing) {
+  const std::vector<Value> corpus = {Value("Maize genome study"),
+                                     Value("wheat rust resistance"),
+                                     Value::Null(), Value("corn")};
+  const std::vector<Value> queries = {
+      Value("maize genome"), Value("Zqxv maize zqxv florp study"),
+      Value("florp florp florp"), Value("ab"), Value(std::string()),
+      Value::Null(), Value("MAIZE Genome  study zqxv"), Value(int64_t{1999})};
+  WhitespaceTokenizer ws;
+  QgramTokenizer q3(3);
+  QgramTokenizer bag3(3);
+  bag3.set_unique(false);
+  struct Config {
+    PrepOptions opts;
+    const Tokenizer* tokenizer;
+  };
+  auto ids_of = [](IdSpan s) {
+    return std::vector<uint32_t>(s.begin(), s.end());
+  };
+  PreparedColumn query;
+  for (const Config& c :
+       {Config{{true, false, /*token_rows=*/true}, &ws},
+        Config{{false, false, /*token_rows=*/true}, &ws},
+        Config{{true, true}, &ws}, Config{{false, false}, &q3},
+        Config{{true, false}, &bag3}, Config{{true, false}, nullptr}}) {
+    auto interner = std::make_shared<TokenInterner>();
+    PreparedColumn resident(corpus, c.opts, c.tokenizer, interner);
+    const size_t interned = interner->size();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      query.PrepQuery(queries[i], c.opts, c.tokenizer, *interner);
+      EXPECT_EQ(interner->size(), interned) << "query " << i;
+      auto fresh = std::make_shared<TokenInterner>();
+      PreparedColumn reference(corpus, c.opts, c.tokenizer, fresh);
+      reference.Append(queries[i], c.opts, c.tokenizer, fresh.get());
+      const size_t r = corpus.size();
+      ASSERT_EQ(query.rows(), 1u);
+      EXPECT_EQ(query.is_null(0), reference.is_null(r)) << "query " << i;
+      EXPECT_EQ(query.text(0), reference.text(r)) << "query " << i;
+      EXPECT_EQ(ids_of(query.ids(0)), ids_of(reference.ids(r)))
+          << "query " << i;
+      const TokenRow tq = query.token_row(0);
+      const TokenRow tr = reference.token_row(r);
+      ASSERT_EQ(tq.size, tr.size) << "query " << i;
+      for (size_t k = 0; k < tq.size; ++k) {
+        EXPECT_EQ(tq.tokens[k], tr.tokens[k]) << "query " << i;
+        EXPECT_EQ(tq.ids[k], tr.ids[k]) << "query " << i;
+        const TokenSignature want = MakeTokenSignature(tr.tokens[k]);
+        EXPECT_EQ(std::memcmp(tq.signatures[k], &want, sizeof(want)), 0)
+            << "query " << i << " token " << k;
+      }
     }
   }
 }
