@@ -44,8 +44,9 @@ struct EqualityKey {
 };
 
 // Hash index over one column: key → ascending record ids. The batch join
-// builds one per call; MatchService keeps one per AE blocker resident and
-// maintains it through Insert and Remove.
+// builds one per call; MatchService keeps one resident per corpus key its
+// AE blockers and keyed positive rules read, and maintains it through
+// Insert and Remove.
 class KeyIndex {
  public:
   explicit KeyIndex(KeyColumn column) : column_(std::move(column)) {}

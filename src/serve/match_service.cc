@@ -84,11 +84,11 @@ struct MatchService::FeatureBinding {
   int corpus_col = -1;  // the Value fn's corpus column
 };
 
-// One AE blocker: its query-side key and the resident index of its
-// corpus side.
-struct MatchService::AeIndex {
+// One AE blocker's or keyed positive rule's query-side key, and the
+// resident index of its corpus side (into key_indexes_).
+struct MatchService::KeyProbe {
   KeyColumn query;
-  KeyIndex corpus;
+  int index = -1;
 };
 
 // Bounded ring of stage latencies; p50/p99 over the most recent window.
@@ -129,7 +129,6 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   std::unique_ptr<MatchService> svc(new MatchService());
   svc->corpus_ = corpus;
   svc->live_.assign(corpus.num_rows(), 1);
-  svc->positive_rules_ = workflow.positive_rules();
   svc->negative_rules_ = workflow.negative_rules();
   svc->matcher_ = workflow.matcher();
   svc->features_ = workflow.features();
@@ -179,10 +178,44 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     return static_cast<int>(svc->corpus_preps_.size() - 1);
   };
 
-  for (const MatchRule& rule : svc->positive_rules_) {
-    EMX_LOG(Info) << "MatchService: every lookup scans the corpus for "
-                     "positive rule '"
-                  << rule.name << "'";
+  // Corpus key indexes. Two keys share one index when both read the same
+  // corpus attribute untransformed (a transform is an opaque function, so
+  // transformed keys never share): in the paper's workflow, the AE
+  // blocker and M1 both key USDA AwardNumber.
+  auto add_key_index = [&](const KeyColumn& key, int col) -> int {
+    if (!key.transform) {
+      for (size_t i = 0; i < svc->key_indexes_.size(); ++i) {
+        const KeyColumn& have = svc->key_indexes_[i].column();
+        if (!have.transform && have.attr == key.attr) {
+          return static_cast<int>(i);
+        }
+      }
+    }
+    KeyIndex& index = svc->key_indexes_.emplace_back(key);
+    const std::vector<Value>& cells =
+        svc->corpus_.column(static_cast<size_t>(col));
+    for (size_t r = 0; r < cells.size(); ++r) {
+      index.Add(static_cast<uint32_t>(r), cells[r]);
+    }
+    return static_cast<int>(svc->key_indexes_.size() - 1);
+  };
+
+  // Positive rules: a keyed rule probes a key index of its corpus side; a
+  // rule without a key form is called on every live record per lookup.
+  for (const MatchRule& rule : workflow.positive_rules()) {
+    if (!rule.key) {
+      EMX_LOG(Info) << "MatchService: every lookup scans the corpus for "
+                       "positive rule '"
+                    << rule.name << "', which has no key form";
+      svc->scanned_rules_.push_back(rule);
+      continue;
+    }
+    // As in ApplyRulesCartesian, a corpus without the rule's attribute
+    // reads null on every row, so the rule never fires.
+    int col = svc->corpus_.schema().IndexOf(rule.key->right.attr);
+    if (col < 0) continue;
+    svc->rule_probes_.push_back(
+        {rule.key->left, add_key_index(rule.key->right, col)});
   }
 
   // Blockers → index groups: the token-overlap family probes a delta
@@ -191,17 +224,13 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     if (const auto* ae =
             dynamic_cast<const AttrEquivalenceBlocker*>(b.get())) {
       const EqualityKey& key = ae->key();
-      if (svc->corpus_.schema().IndexOf(key.right.attr) < 0) {
+      int col = svc->corpus_.schema().IndexOf(key.right.attr);
+      if (col < 0) {
         return Status::InvalidArgument("MatchService: corpus has no column '" +
                                        key.right.attr + "' (blocker " +
                                        b->name() + ")");
       }
-      AeIndex& index =
-          svc->ae_indexes_.emplace_back(AeIndex{key.left, KeyIndex(key.right)});
-      for (size_t r = 0; r < svc->corpus_.num_rows(); ++r) {
-        index.corpus.Add(static_cast<uint32_t>(r),
-                         svc->corpus_.at(r, key.right.attr));
-      }
+      svc->ae_probes_.push_back({key.left, add_key_index(key.right, col)});
       continue;
     }
     const auto* tb = dynamic_cast<const TokenOverlapBlocker*>(b.get());
@@ -274,13 +303,15 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   return svc;
 }
 
-std::vector<uint32_t> MatchService::AeHits(const Table& query,
-                                           size_t query_row) const {
+std::vector<uint32_t> MatchService::KeyHits(
+    const std::vector<KeyProbe>& probes, const Table& query,
+    size_t query_row) const {
   std::vector<uint32_t> out;
   std::string key;
-  for (const AeIndex& ae : ae_indexes_) {
-    if (!ae.query.KeyOf(query.at(query_row, ae.query.attr), &key)) continue;
-    if (const std::vector<uint32_t>* ids = ae.corpus.Find(key)) {
+  for (const KeyProbe& p : probes) {
+    // A query without the key's column reads null (Table::at): no key.
+    if (!p.query.KeyOf(query.at(query_row, p.query.attr), &key)) continue;
+    if (const std::vector<uint32_t>* ids = key_indexes_[p.index].Find(key)) {
       out.insert(out.end(), ids->begin(), ids->end());
     }
   }
@@ -291,17 +322,19 @@ std::vector<uint32_t> MatchService::AeHits(const Table& query,
 
 std::vector<uint32_t> MatchService::SureMatches(const Table& query,
                                                 size_t query_row) const {
-  std::vector<uint32_t> out;
-  if (positive_rules_.empty()) return out;
+  std::vector<uint32_t> out = KeyHits(rule_probes_, query, query_row);
+  if (scanned_rules_.empty()) return out;
   for (size_t r = 0; r < corpus_.num_rows(); ++r) {
     if (!live_[r]) continue;
-    for (const MatchRule& rule : positive_rules_) {
+    for (const MatchRule& rule : scanned_rules_) {
       if (rule.fires(query, query_row, corpus_, r)) {
         out.push_back(static_cast<uint32_t>(r));
         break;
       }
     }
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -335,7 +368,7 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
     return Status::OK();
   };
 
-  // Stage: positive rules (C1 restricted to this query row).
+  // Stage: sure matches (C1 restricted to this query row).
   Clock::time_point t0 = Clock::now();
   std::vector<uint32_t> sure = SureMatches(query, query_row);
   double rules_us = MicrosSince(t0);
@@ -344,11 +377,11 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   // query's blocking specs, probe each token index and replay every token
   // blocker's keep predicate.
   t0 = Clock::now();
-  for (const AeIndex& ae : ae_indexes_) {
+  for (const KeyProbe& ae : ae_probes_) {
     // The batch AE blocker's NotFound for a missing key column.
     EMX_RETURN_IF_ERROR(query.ColumnByName(ae.query.attr).status());
   }
-  std::vector<uint32_t> blocked = AeHits(query, query_row);
+  std::vector<uint32_t> blocked = KeyHits(ae_probes_, query, query_row);
   for (int s : block_specs_) EMX_RETURN_IF_ERROR(prep(s));
   for (const auto& g : index_groups_) {
     IdSpan qids = scratch.queries[g->query_spec].ids(0);
@@ -495,8 +528,8 @@ Result<uint32_t> MatchService::Insert(std::vector<Value> row) {
   for (auto& g : index_groups_) {
     g->index.Add(corpus_preps_[g->corpus_prep]->column.ids(record));
   }
-  for (AeIndex& ae : ae_indexes_) {
-    ae.corpus.Add(record, corpus_.at(record, ae.corpus.column().attr));
+  for (KeyIndex& index : key_indexes_) {
+    index.Add(record, corpus_.at(record, index.column().attr));
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   return record;
@@ -511,8 +544,8 @@ Status MatchService::Remove(uint32_t record) {
   }
   live_[record] = 0;
   for (auto& g : index_groups_) g->index.Remove(record);
-  for (AeIndex& ae : ae_indexes_) {
-    ae.corpus.Remove(record, corpus_.at(record, ae.corpus.column().attr));
+  for (KeyIndex& index : key_indexes_) {
+    index.Remove(record, corpus_.at(record, index.column().attr));
   }
   removes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();

@@ -79,7 +79,7 @@ struct MatchServiceStats {
                              // imputation (0 when no record reaches the
                              // matcher)
   LatencySummary score;      // forest inference + thresholding
-  LatencySummary rules;      // positive scan + negative filtering
+  LatencySummary rules;      // sure matches + negative filtering
   LatencySummary total;
 };
 
@@ -88,7 +88,9 @@ struct MatchServiceStats {
 // for every (attribute, prep spec) the features and blockers read, the
 // trained matcher + imputer + rules, one mutable DeltaTokenIndex per
 // distinct token blocker (attribute, normalization, tokenizer), and one
-// KeyIndex per AE blocker — built once at Create and NEVER rebuilt from
+// KeyIndex per corpus key that an AE blocker or a keyed positive rule
+// reads (an AE blocker and a rule keying the same corpus attribute
+// untransformed share one) — built once at Create and NEVER rebuilt from
 // scratch afterwards.
 //
 // Lookup(query, row) answers "which corpus records match this record" with
@@ -131,11 +133,13 @@ class MatchService {
   // Every registered blocker must be a TokenOverlapBlocker (answered by a
   // delta token index) or an AttrEquivalenceBlocker (answered by a key
   // index); anything else, such as a RuleBlocker, is InvalidArgument.
-  // Every lookup scans the live corpus for the positive rules, keyed or
-  // not; Create logs each one. The matcher is optional (a rules-only
-  // workflow serves rule matches). A lookup runs wholly on its calling
-  // thread (ServeLoop runs lookups in parallel on its own executor), so
-  // `ctx` goes unused.
+  // A positive rule with a key form (MakeEqualityRule) is answered by a
+  // key index of its corpus side; one whose corpus attribute is missing
+  // fires on nothing, as in batch. Only rules without a key form make a
+  // lookup scan the live corpus, and Create logs each of those. The
+  // matcher is optional (a rules-only workflow serves rule matches). A
+  // lookup runs wholly on its calling thread (ServeLoop runs lookups in
+  // parallel on its own executor), so `ctx` goes unused.
   static Result<std::unique_ptr<MatchService>> Create(
       const EmWorkflow& workflow, const Table& corpus,
       MatchServiceOptions options = {}, const ExecutorContext& ctx = {});
@@ -176,25 +180,30 @@ class MatchService {
   struct BlockPredicate; // one blocker's keep predicate over a shared index
   struct IndexGroup;     // one delta index + the predicates probing it
   struct FeatureBinding; // feature → (query spec, corpus prep) wiring
-  struct AeIndex;        // one AE blocker's query key + corpus KeyIndex
+  struct KeyProbe;       // a query-side key over one corpus KeyIndex
   struct LatencyRing;
 
   MatchService() = default;
 
-  // Stage bodies (called with mu_ held shared). SureMatches scans on the
-  // calling thread, so a lookup's work never depends on executor
-  // scheduling.
+  // Stage bodies (called with mu_ held shared), on the calling thread, so
+  // a lookup's work never depends on executor scheduling.
+  //
+  // Live records some positive rule pairs with the query row, ascending
+  // and unique: one key probe per keyed rule, and a scan of the live
+  // records only for the rules without a key form.
   std::vector<uint32_t> SureMatches(const Table& query,
                                     size_t query_row) const;
-  // Live records some AE blocker pairs with the query row, ascending and
-  // unique.
-  std::vector<uint32_t> AeHits(const Table& query, size_t query_row) const;
+  // Live records whose key under one of `probes` equals the query row's
+  // key under it, ascending and unique.
+  std::vector<uint32_t> KeyHits(const std::vector<KeyProbe>& probes,
+                                const Table& query, size_t query_row) const;
 
   Table corpus_;
   std::vector<uint8_t> live_;
 
-  // Workflow pieces (owned copies / shared ownership).
-  std::vector<MatchRule> positive_rules_;
+  // Workflow pieces (owned copies / shared ownership). The positive rules
+  // without a key form; the keyed ones are rule_probes_.
+  std::vector<MatchRule> scanned_rules_;
   std::vector<MatchRule> negative_rules_;
   std::shared_ptr<MlMatcher> matcher_;
   FeatureSet features_;
@@ -207,7 +216,12 @@ class MatchService {
   std::vector<std::unique_ptr<QuerySpec>> query_specs_;
   std::vector<std::unique_ptr<IndexGroup>> index_groups_;
   std::vector<FeatureBinding> bindings_;
-  std::vector<AeIndex> ae_indexes_;
+  // Resident corpus key indexes (Insert adds to and Remove drops from
+  // every one), and the probes that read them: one per AE blocker and one
+  // per keyed positive rule.
+  std::vector<KeyIndex> key_indexes_;
+  std::vector<KeyProbe> ae_probes_;
+  std::vector<KeyProbe> rule_probes_;
   // Indexes into query_specs_: the index groups' specs, which every lookup
   // preps before its probe, and the rest, which only features read.
   std::vector<int> block_specs_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/block/overlap_blocker.h"
 #include "src/core/executor.h"
 #include "src/core/failpoint.h"
+#include "src/datagen/case_study.h"
 #include "src/ml/decision_tree.h"
 #include "src/rules/match_rules.h"
 #include "src/rules/number_pattern.h"
@@ -326,10 +328,13 @@ TEST_F(PipelineResumeTest, MatchesDirectRunWithAndWithoutCheckpoints) {
   EXPECT_EQ(RunDigest(*warm), RunDigest(*direct));
 }
 
-// The tentpole guarantee: kill the pipeline at EVERY stage boundary, at one
-// and at eight threads, resume, and demand bit-identical output.
-TEST_F(PipelineResumeTest, KillAtAnyStageThenResumeIsBitIdentical) {
-  Table l = PipeLeft(), r = PipeRight();
+// Kills a run of `build()`'s workflow over (l, r) at EVERY stage
+// boundary, at one and at eight threads, resumes it, and demands output
+// bit-identical to an uninterrupted run. `tag` keeps checkpoint
+// directories apart.
+void ExpectKillAtAnyStageThenResumeIsBitIdentical(
+    const std::function<EmWorkflow()>& build, const Table& l, const Table& r,
+    const std::string& tag) {
   const char* kStagePoints[] = {
       "workflow/positive_rules",
       "workflow/block",
@@ -340,18 +345,18 @@ TEST_F(PipelineResumeTest, KillAtAnyStageThenResumeIsBitIdentical) {
     Executor pool(threads);
     ExecutorContext ctx;
     ctx.executor = &pool;
-    EmWorkflow wf = BuildPipelineWorkflow();
+    EmWorkflow wf = build();
     wf.SetExecutor(ctx);
     auto baseline = wf.Run(l, r);
     ASSERT_TRUE(baseline.ok());
     const std::string want = RunDigest(*baseline);
 
     for (const char* point : kStagePoints) {
-      SCOPED_TRACE(std::string(point) + " @" + std::to_string(threads) +
+      SCOPED_TRACE(tag + " " + point + " @" + std::to_string(threads) +
                    " threads");
       PipelineOptions opts;
       opts.checkpoint_dir =
-          FreshDir(std::string("kill_") + std::to_string(threads) + "_" +
+          FreshDir("kill_" + tag + "_" + std::to_string(threads) + "_" +
                    std::string(point).substr(9));
       // First run dies at the armed stage...
       ASSERT_TRUE(FailPointRegistry::Global()
@@ -369,6 +374,34 @@ TEST_F(PipelineResumeTest, KillAtAnyStageThenResumeIsBitIdentical) {
       EXPECT_EQ(RunDigest(*resumed), want);
     }
   }
+}
+
+// Resume is bit-identical from every stage, on the small pipeline
+// workflow and on the paper's own Figure-10 workflow (V2 positive rules,
+// the AE and both title blockers, the §9 trained matcher, negative
+// rules) over the case study.
+TEST_F(PipelineResumeTest, KillAtAnyStageThenResumeIsBitIdentical) {
+  ExpectKillAtAnyStageThenResumeIsBitIdentical(BuildPipelineWorkflow,
+                                               PipeLeft(), PipeRight(),
+                                               "pipe");
+
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  auto blocks = RunStandardBlocking(tables->umetrics, tables->usda);
+  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+  LabeledSet labels = CollectCorrectedLabels(
+      MakeOracle(data->gold, data->ambiguous), blocks->c, 3, 100, 100);
+  auto trained = TrainBestMatcher(tables->umetrics, tables->usda, labels,
+                                  PositiveRulesV1(), /*case_fix=*/true);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  ExpectKillAtAnyStageThenResumeIsBitIdentical(
+      [&] {
+        return BuildCaseStudyWorkflow(PositiveRulesV2(), *trained,
+                                      /*with_negative_rules=*/true);
+      },
+      tables->umetrics, tables->usda, "fig10");
 }
 
 // An injected executor-dispatch fault surfaces as a contained Internal

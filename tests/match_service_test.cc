@@ -32,6 +32,7 @@
 #include "src/ml/decision_tree.h"
 #include "src/serve/match_service.h"
 #include "src/table/csv.h"
+#include "src/table/table_ops.h"
 #include "src/text/batch_kernel.h"
 #include "src/workflow/em_workflow.h"
 #include "src/workflow/pipeline_runner.h"
@@ -234,9 +235,9 @@ const WorkflowFixture& AeOnly() {
   return fx;
 }
 
-// Keyed M1 plus a title rule without a key form: batch joins the first and
-// scans for the second, serve scans for both; the sure matches are the
-// union of both.
+// Keyed M1 plus a title rule without a key form: batch joins the first
+// and serve probes its key index, and both scan for the second; the sure
+// matches are the union of both.
 const WorkflowFixture& KeyedAndScannedRules() {
   static const WorkflowFixture& fx = *[] {
     const TrainedMatcher& t = CaseStudy().trained;
@@ -266,14 +267,9 @@ struct ScaleFixture {
   std::vector<PerRecordOracle> oracle;
 };
 
-EmWorkflow BuildScaleWorkflow() {
-  EmWorkflow wf;
-  OverlapBlockerOptions opts;
-  opts.left_attr = "AwardTitle";
-  opts.right_attr = "AwardTitle";
-  opts.lowercase = true;
-  wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 3));
-  wf.AddBlocker(std::make_shared<OverlapCoefficientBlocker>(opts, 0.7));
+// A tree over one lowercased title-Jaccard feature: it reads AwardTitle
+// and nothing else.
+void SetTitleJaccardMatcher(EmWorkflow* wf) {
   FeatureSet features;
   // Lowercased: scale-corpus left titles are UPPERCASE, right mixed-case.
   features.features.push_back(
@@ -290,7 +286,31 @@ EmWorkflow BuildScaleWorkflow() {
   imputer.Fit(m);
   auto tree = std::make_shared<DecisionTreeMatcher>();
   EXPECT_TRUE(tree->Fit(d).ok());
-  wf.SetMatcher(std::move(tree), std::move(features), std::move(imputer));
+  wf->SetMatcher(std::move(tree), std::move(features), std::move(imputer));
+}
+
+EmWorkflow BuildScaleWorkflow() {
+  EmWorkflow wf;
+  OverlapBlockerOptions opts;
+  opts.left_attr = "AwardTitle";
+  opts.right_attr = "AwardTitle";
+  opts.lowercase = true;
+  wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 3));
+  wf.AddBlocker(std::make_shared<OverlapCoefficientBlocker>(opts, 0.7));
+  SetTitleJaccardMatcher(&wf);
+  return wf;
+}
+
+// The case study's V2 positive rules, title blockers and negative rules
+// around the title-Jaccard tree, so a table that lacks a rule's key
+// attribute still vectorizes.
+EmWorkflow KeyedRulesTitleWorkflow() {
+  EmWorkflow wf;
+  for (const MatchRule& r : PositiveRulesV2()) wf.AddPositiveRule(r);
+  wf.AddBlocker(MakeTitleOverlapBlocker(3));
+  wf.AddBlocker(MakeTitleOverlapCoefficientBlocker(0.7));
+  SetTitleJaccardMatcher(&wf);
+  for (const MatchRule& r : NegativeRules()) wf.AddNegativeRule(r);
   return wf;
 }
 
@@ -476,9 +496,10 @@ TEST(MatchServiceIngestTest, InsertDeleteEquivalentToFreshService) {
 }
 
 // The same on the case-study corpus under the full Figure-10 workflow, so
-// the AE blocker's key index and the records the positive rules scan must
-// follow every Insert and Remove exactly. The corpus is reordered so that every
-// third USDA row arrives by Insert (datagen writes matched rows first).
+// the key indexes of the AE blocker and of both positive rules must
+// follow every Insert and Remove exactly. The corpus is reordered so that
+// every third USDA row arrives by Insert (datagen writes matched rows
+// first).
 TEST(MatchServiceIngestTest, CaseStudyKeyIndexesTrackInsertAndRemove) {
   const CaseStudyFixture& cs = CaseStudy();
   const WorkflowFixture& fx = Figure10();
@@ -579,7 +600,9 @@ TEST(MatchServiceIngestTest, RemoveHidesRecordImmediately) {
 // counter untouched and (on plain builds) settle to an exactly constant
 // per-lookup allocation count on the calling thread for each record. The
 // lookup that reaches no matcher preps fewer query specs and allocates
-// less.
+// less. And a warm lookup allocates a handful of blocks whatever the
+// corpus size: sure matches come from key probes, where a rule scan over
+// the corpus made about 5,900 allocations per lookup.
 TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   const CaseStudyFixture& fx = CaseStudy();
   auto svc = MatchService::Create(fx.wf, fx.tables.usda);
@@ -625,6 +648,10 @@ TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   const size_t warm = count_allocs(ml_row);
   const size_t warm_no_ml = count_allocs(no_ml_row);
   EXPECT_LT(warm_no_ml, warm);
+  EXPECT_LT(warm, 256u) << "a lookup that reaches the matcher allocates "
+                           "per corpus record";
+  EXPECT_LT(warm_no_ml, 64u) << "a lookup that reaches no matcher "
+                                "allocates per corpus record";
   RecordProperty("warm_allocs_ml", std::to_string(warm));
   RecordProperty("warm_allocs_no_ml", std::to_string(warm_no_ml));
 #endif
@@ -779,6 +806,47 @@ TEST(MatchServiceLookupTest, MissingQueryColumnIsError) {
                                             ? StatusCode::kOk
                                             : StatusCode::kNotFound)
           << f.name << " / '" << title << "'";
+    }
+  }
+
+  // A keyed positive rule whose attribute one side lacks fires on nothing,
+  // as in batch: a query table without AwardNumber gets no sure match and
+  // no error, and a corpus without ProjectNumber still serves, with M4
+  // never firing. Every row is compared with EmWorkflow::Run on the same
+  // tables (a fresh workflow per run, for the address-keyed prep cache).
+  const CaseStudyFixture& cs = CaseStudy();
+  auto without = [](const Table& t, const std::string& attr) {
+    std::vector<std::string> keep = t.schema().names();
+    keep.erase(std::find(keep.begin(), keep.end(), attr));
+    return *Project(t, keep);
+  };
+  const Table no_award = without(cs.tables.umetrics, "AwardNumber");
+  const Table no_project = without(cs.tables.usda, "ProjectNumber");
+  auto m1_only = ApplyRulesCartesian(PositiveRulesV1(), cs.tables.umetrics,
+                                     cs.tables.usda);
+  auto v2 = ApplyRulesCartesian(PositiveRulesV2(), cs.tables.umetrics,
+                                cs.tables.usda);
+  ASSERT_TRUE(m1_only.ok() && v2.ok());
+  ASSERT_LT(m1_only->size(), v2->size()) << "M4 adds no sure match";
+  const std::pair<const Table*, const Table*> cases[] = {
+      {&no_award, &cs.tables.usda}, {&cs.tables.umetrics, &no_project}};
+  for (const auto& [left, corpus] : cases) {
+    SCOPED_TRACE(left == &no_award ? "query without AwardNumber"
+                                   : "corpus without ProjectNumber");
+    auto run = KeyedRulesTitleWorkflow().Run(*left, *corpus);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(run->after_rules.empty());
+    if (left == &no_award) {
+      EXPECT_TRUE(run->sure_matches.empty());
+    } else {
+      EXPECT_EQ(run->sure_matches, *m1_only);
+    }
+    const std::vector<PerRecordOracle> oracle =
+        SliceByLeft(*run, left->num_rows());
+    auto svc = MatchService::Create(KeyedRulesTitleWorkflow(), *corpus);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    for (size_t q = 0; q < left->num_rows(); ++q) {
+      ExpectLookupMatchesOracle(**svc, *left, q, oracle[q]);
     }
   }
 }
@@ -975,41 +1043,33 @@ TEST(MatchServiceMemoryTest, NovelTokenLookupsInternNothing) {
   EXPECT_GT((*svc)->Stats().interned_tokens, after.interned_tokens);
 }
 
-// Four threads look up while a fifth inserts records (from another
-// corpus, so bringing tokens the service had not seen) and removes them
-// again, with compactions along the way. Every lookup's matches among the
-// base records equal the batch oracle's.
-TEST(MatchServiceConcurrencyTest, LookupsDuringInsertsAndRemovesMatchBatch) {
-  ScaleCorpusOptions options;
-  options.scale_factor = 1.0;
-  auto base = GenerateScaleCorpus(options);
-  ASSERT_TRUE(base.ok());
-  options.seed = 7;
-  options.scale_factor = 0.5;
-  auto extra = GenerateScaleCorpus(options);
-  ASSERT_TRUE(extra.ok());
-  const EmWorkflow wf = BuildScaleWorkflow();
-  auto run = wf.Run(base->left, base->right);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  const std::vector<PerRecordOracle> oracle =
-      SliceByLeft(*run, base->left.num_rows());
+// Four threads look up every row of `left` twice while a fifth inserts
+// `extra` rows into a service over `base` and removes every other one
+// again, compaction threshold 64. Every 25 lookups, a lookup thread waits
+// (outside the service's lock) for the next mutation, so lookups and
+// mutations interleave however the shared mutex schedules its waiters.
+// Every lookup's matches among the base records equal the batch oracle's.
+// Returns how many sure matches the lookups found on inserted records.
+size_t ExpectLookupsDuringMutationsMatchBatch(
+    const EmWorkflow& wf, const Table& left, const Table& base,
+    const std::vector<PerRecordOracle>& oracle,
+    const std::vector<std::vector<Value>>& extra) {
   MatchServiceOptions opts;
   opts.compact_threshold = 64;
-  auto created = MatchService::Create(wf, base->right, opts);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto created = MatchService::Create(wf, base, opts);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  if (!created.ok()) return 0;
   MatchService& svc = **created;
-  const uint32_t base_records = static_cast<uint32_t>(base->right.num_rows());
+  const uint32_t base_records = static_cast<uint32_t>(base.num_rows());
 
-  // Every 25 lookups, a lookup thread waits (outside the service's lock)
-  // for the next mutation, so lookups and mutations interleave however
-  // the shared mutex schedules its waiters.
   std::atomic<bool> done{false};
   std::atomic<bool> mutator_exited{false};
   std::atomic<uint64_t> mutations{0};
+  std::atomic<size_t> sure_on_inserted{0};
   std::thread mutator([&] {
     std::vector<uint32_t> inserted;
     for (size_t next = 0; !done.load(); ++next) {
-      auto id = svc.Insert(extra->right.Row(next % extra->right.num_rows()));
+      auto id = svc.Insert(extra[next % extra.size()]);
       EXPECT_TRUE(id.ok()) << id.status().ToString();
       if (!id.ok()) break;
       inserted.push_back(*id);
@@ -1027,18 +1087,22 @@ TEST(MatchServiceConcurrencyTest, LookupsDuringInsertsAndRemovesMatchBatch) {
       uint64_t seen = mutations.load();
       size_t made = 0;
       for (int pass = 0; pass < 2; ++pass) {
-        for (size_t q = t; q < base->left.num_rows(); q += kLookupThreads) {
+        for (size_t q = t; q < left.num_rows(); q += kLookupThreads) {
           if (++made % 25 == 0) {
             while (mutations.load() == seen && !mutator_exited.load()) {
               std::this_thread::yield();
             }
             seen = mutations.load();
           }
-          auto got = svc.Lookup(base->left, q);
+          auto got = svc.Lookup(left, q);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           std::map<uint32_t, std::string> among_base;
           for (const RankedMatch& m : got->matches) {
-            if (m.record < base_records) among_base[m.record] = m.provenance;
+            if (m.record < base_records) {
+              among_base[m.record] = m.provenance;
+            } else if (m.provenance == "sure_rule") {
+              sure_on_inserted.fetch_add(1);
+            }
           }
           EXPECT_EQ(among_base, oracle[q].matches) << "left row " << q;
         }
@@ -1049,10 +1113,58 @@ TEST(MatchServiceConcurrencyTest, LookupsDuringInsertsAndRemovesMatchBatch) {
   done.store(true);
   mutator.join();
   const MatchServiceStats stats = svc.Stats();
-  EXPECT_EQ(stats.lookups, 2 * base->left.num_rows());
+  EXPECT_EQ(stats.lookups, 2 * left.num_rows());
   EXPECT_GT(stats.inserts, 0u);
   EXPECT_GT(stats.removes, 0u);
   EXPECT_GT(stats.compactions, 0u);
+  return sure_on_inserted.load();
+}
+
+// Two legs. An SF-1 title workflow, whose inserted records come from
+// another corpus and so bring tokens the service had not seen. And the
+// paper's Figure-10 workflow with the V2 rules over the case study, whose
+// inserted records copy the USDA rows that batch sure-matches, so their
+// AwardNumber or ProjectNumber equals a key the lookups probe and the
+// rule indexes change while lookups read them.
+TEST(MatchServiceConcurrencyTest, LookupsDuringInsertsAndRemovesMatchBatch) {
+  ScaleCorpusOptions options;
+  options.scale_factor = 1.0;
+  auto base = GenerateScaleCorpus(options);
+  ASSERT_TRUE(base.ok());
+  options.seed = 7;
+  options.scale_factor = 0.5;
+  auto extra = GenerateScaleCorpus(options);
+  ASSERT_TRUE(extra.ok());
+  const EmWorkflow wf = BuildScaleWorkflow();
+  auto run = wf.Run(base->left, base->right);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<std::vector<Value>> extra_rows;
+  for (size_t r = 0; r < extra->right.num_rows(); ++r) {
+    extra_rows.push_back(extra->right.Row(r));
+  }
+  {
+    SCOPED_TRACE("scale");
+    ExpectLookupsDuringMutationsMatchBatch(
+        wf, base->left, base->right,
+        SliceByLeft(*run, base->left.num_rows()), extra_rows);
+  }
+
+  const CaseStudyFixture& cs = CaseStudy();
+  const WorkflowFixture& fig10 = Figure10();
+  std::set<uint32_t> sure_rows;
+  for (const PerRecordOracle& o : fig10.oracle) {
+    for (const auto& [row, provenance] : o.matches) {
+      if (provenance == "sure_rule") sure_rows.insert(row);
+    }
+  }
+  ASSERT_FALSE(sure_rows.empty());
+  std::vector<std::vector<Value>> sure_copies;
+  for (uint32_t row : sure_rows) sure_copies.push_back(cs.tables.usda.Row(row));
+  SCOPED_TRACE("case study");
+  EXPECT_GT(ExpectLookupsDuringMutationsMatchBatch(
+                fig10.wf, cs.tables.umetrics, cs.tables.usda, fig10.oracle,
+                sure_copies),
+            0u);
 }
 
 }  // namespace
