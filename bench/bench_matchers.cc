@@ -7,8 +7,8 @@
 //                                    before)
 //   bench_matchers --forest          flattened-forest before/after on the
 //                                    case-study fixture: single-thread
-//                                    pointer-walk vs flat vs columnar batch
-//                                    inference; writes BENCH_forest.json
+//                                    pointer walk vs the flat columnar
+//                                    walk; writes BENCH_forest.json
 //   bench_matchers --smoke BASELINE  small deterministic fixture; writes
 //                                    no file, compares the measured
 //                                    flat-vs-treewalk speedup against
@@ -44,7 +44,7 @@ using namespace emx;
 
 struct Fixture {
   Dataset train;
-  std::vector<std::vector<double>> predict_rows;
+  PairBatch predict_batch;
 };
 
 const Fixture& GetFixture() {
@@ -59,11 +59,11 @@ const Fixture& GetFixture() {
     auto trained =
         TrainBestMatcher(u, s, labels, PositiveRulesV1(), /*case_fix=*/true);
     auto features = CaseStudyFeatures(u, s, /*case_fix=*/true);
-    auto matrix = VectorizePairs(u, s, blocks->c, *features);
+    auto batch = VectorizePairsBatch(u, s, blocks->c, *features);
     MeanImputer imputer;
-    imputer.Fit(*matrix);
-    (void)imputer.Transform(*matrix);
-    return new Fixture{trained->train_data, std::move(matrix->rows)};
+    imputer.Fit(*batch);
+    (void)imputer.Transform(*batch);
+    return new Fixture{trained->train_data, std::move(*batch)};
   }();
   return f;
 }
@@ -110,7 +110,7 @@ void BM_PredictCandidateSet(benchmark::State& state) {
   RandomForestMatcher forest;
   (void)forest.Fit(f.train);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.Predict(f.predict_rows));
+    benchmark::DoNotOptimize(forest.PredictBatch(f.predict_batch));
   }
 }
 BENCHMARK(BM_PredictCandidateSet)->Unit(benchmark::kMillisecond);
@@ -140,7 +140,7 @@ void BM_PredictRandomForestThreads(benchmark::State& state) {
   forest.set_executor(ctx);
   (void)forest.Fit(f.train);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.Predict(f.predict_rows));
+    benchmark::DoNotOptimize(forest.PredictBatch(f.predict_batch));
   }
 }
 BENCHMARK(BM_PredictRandomForestThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -165,35 +165,26 @@ struct ForestMeasurement {
   size_t trees = 0;
   size_t nodes = 0;
   double treewalk_ms = 0;  // pointer-walking baseline, 1 thread
-  double flat_ms = 0;      // flattened nodes, row-major input, 1 thread
-  double batch_ms = 0;     // flattened nodes, columnar PairBatch, 1 thread
+  double flat_ms = 0;      // flattened nodes over the batch columns, 1 thread
   double speedup() const {
     return flat_ms > 0 ? treewalk_ms / flat_ms : 0;
   }
-  double batch_speedup() const {
-    return batch_ms > 0 ? treewalk_ms / batch_ms : 0;
-  }
 };
 
-// Single-thread inference over `rows`: the pointer walk (ParallelMap per
+// Single-thread inference over `batch`: the pointer walk (ParallelMap per
 // tree + per-tree probability vectors, the pre-flattening engine, retained
-// as PredictProbaTreeWalk) vs the flattened forest, through both the
-// row-major and the columnar entry points. All three produce bit-identical
-// probabilities — only wall-clock differs.
+// as PredictProbaTreeWalk) vs the flattened forest's columnar walk. Both
+// produce bit-identical probabilities — only wall-clock differs.
 ForestMeasurement MeasureForest(const RandomForestMatcher& forest,
-                                const std::vector<std::vector<double>>& rows,
-                                int reps) {
+                                const PairBatch& batch, int reps) {
   ForestMeasurement m;
-  m.rows = rows.size();
+  m.rows = batch.num_pairs();
   m.trees = forest.num_trees();
   m.nodes = forest.flat_forest().num_nodes();
-  PairBatch batch = PairBatch::FromRows(rows);
-  m.treewalk_ms =
-      TimeMs([&] { benchmark::DoNotOptimize(forest.PredictProbaTreeWalk(rows)); },
-             reps);
+  m.treewalk_ms = TimeMs(
+      [&] { benchmark::DoNotOptimize(forest.PredictProbaTreeWalk(batch)); },
+      reps);
   m.flat_ms = TimeMs(
-      [&] { benchmark::DoNotOptimize(forest.PredictProba(rows)); }, reps);
-  m.batch_ms = TimeMs(
       [&] { benchmark::DoNotOptimize(forest.PredictProbaBatch(batch)); }, reps);
   return m;
 }
@@ -209,8 +200,6 @@ int WriteForestJson(const ForestMeasurement& m) {
   std::fprintf(f, "  \"trees\": %zu,\n", m.trees);
   std::fprintf(f, "  \"flat_nodes\": %zu,\n", m.nodes);
   std::fprintf(f, "  \"speedup_flat_vs_treewalk\": %.2f,\n", m.speedup());
-  std::fprintf(f, "  \"speedup_batch_vs_treewalk\": %.2f,\n",
-               m.batch_speedup());
   std::fprintf(f, "  \"results\": [\n");
   std::fprintf(f,
                "    {\"stage\": \"predict_treewalk\", \"threads\": 1, "
@@ -218,12 +207,8 @@ int WriteForestJson(const ForestMeasurement& m) {
                m.treewalk_ms);
   std::fprintf(f,
                "    {\"stage\": \"predict_flat\", \"threads\": 1, "
-               "\"wall_ms\": %.3f},\n",
-               m.flat_ms);
-  std::fprintf(f,
-               "    {\"stage\": \"predict_flat_batch\", \"threads\": 1, "
                "\"wall_ms\": %.3f}\n",
-               m.batch_ms);
+               m.flat_ms);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_forest.json\n");
@@ -235,10 +220,7 @@ void PrintForest(const ForestMeasurement& m) {
   std::printf("%-22s %10s\n", "stage", "wall_ms");
   std::printf("%-22s %10.3f\n", "predict_treewalk", m.treewalk_ms);
   std::printf("%-22s %10.3f\n", "predict_flat", m.flat_ms);
-  std::printf("%-22s %10.3f\n", "predict_flat_batch", m.batch_ms);
   std::printf("speedup_flat_vs_treewalk=%.2fx (1 thread)\n", m.speedup());
-  std::printf("speedup_batch_vs_treewalk=%.2fx (1 thread)\n",
-              m.batch_speedup());
 }
 
 int RunForest() {
@@ -248,7 +230,7 @@ int RunForest() {
   RandomForestMatcher forest;
   forest.set_executor(ctx1);
   if (!forest.Fit(f.train).ok()) return 1;
-  ForestMeasurement m = MeasureForest(forest, f.predict_rows, /*reps=*/20);
+  ForestMeasurement m = MeasureForest(forest, f.predict_batch, /*reps=*/20);
   PrintForest(m);
   return WriteForestJson(m);
 }
@@ -307,7 +289,8 @@ int RunSmoke(const char* baseline_path) {
   forest.set_executor(ctx1);
   if (!forest.Fit(SmokeTrainSet(300, 300, 77)).ok()) return 1;
   Dataset probe = SmokeTrainSet(4000, 4000, 78);
-  ForestMeasurement m = MeasureForest(forest, probe.x, /*reps=*/10);
+  ForestMeasurement m =
+      MeasureForest(forest, PairBatch::FromRows(probe.x), /*reps=*/10);
   PrintForest(m);
 
   double measured = m.speedup();

@@ -60,10 +60,11 @@ int Run() {
   std::vector<double> scores(run->final_matches.size(), 1.0);
   {
     // Sure matches get confidence 1; ML matches their predicted proba.
-    auto matrix = VectorizePairs(u, s, run->final_matches, trained->features);
-    if (matrix.ok()) {
-      (void)trained->imputer.Transform(*matrix);
-      std::vector<double> proba = trained->matcher->PredictProba(matrix->rows);
+    auto batch =
+        VectorizePairsBatch(u, s, run->final_matches, trained->features);
+    if (batch.ok()) {
+      (void)trained->imputer.Transform(*batch);
+      std::vector<double> proba = trained->matcher->PredictProbaBatch(*batch);
       for (size_t i = 0; i < scores.size(); ++i) {
         if (!run->sure_matches.Contains(run->final_matches[i])) {
           scores[i] = proba[i];

@@ -33,8 +33,8 @@ int main() {
   // Feature vectors over the whole candidate set.
   auto features = CaseStudyFeatures(u, s, /*case_fix=*/true);
   if (!features.ok()) return 1;
-  auto matrix = VectorizePairs(u, s, blocks->c, *features);
-  if (!matrix.ok()) return 1;
+  auto batch = VectorizePairsBatch(u, s, blocks->c, *features);
+  if (!batch.ok()) return 1;
   // NOTE: rules see raw features; NaN predicates never fire, so no
   // imputation is needed (or wanted) for the rule matcher.
 
@@ -50,7 +50,7 @@ int main() {
            .ok()) {
     return 1;
   }
-  auto rule_pred = rules.Predict(*matrix);
+  auto rule_pred = rules.Predict(*batch);
   if (!rule_pred.ok()) {
     std::fprintf(stderr, "%s\n", rule_pred.status().ToString().c_str());
     return 1;
@@ -84,7 +84,7 @@ int main() {
               run->final_matches.size(), g_wf.Precision() * 100.0,
               g_wf.Recall() * 100.0);
   std::printf("\nrule provenance on the first few rule matches:\n");
-  auto firing = rules.FiringRule(*matrix);
+  auto firing = rules.FiringRule(*batch);
   size_t shown = 0;
   for (size_t i = 0; i < firing->size() && shown < 3; ++i) {
     if ((*firing)[i] < 0) continue;

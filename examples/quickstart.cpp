@@ -40,21 +40,23 @@ int main() {
   // Step 2 — features: generated automatically from the shared schema.
   auto features = GenerateFeatures(*table_a, *table_b);
   if (!features.ok()) return 1;
-  auto matrix = VectorizePairs(*table_a, *table_b, *candidates, *features);
-  if (!matrix.ok()) return 1;
+  auto batch =
+      VectorizePairsBatch(*table_a, *table_b, *candidates, *features);
+  if (!batch.ok()) return 1;
   MeanImputer imputer;
-  imputer.Fit(*matrix);
-  if (!imputer.Transform(*matrix).ok()) return 1;
+  imputer.Fit(*batch);
+  if (!imputer.Transform(*batch).ok()) return 1;
 
   // Step 3 — train a matcher on labeled examples. Real projects sample and
   // label candidate pairs (see examples/umetrics_case_study.cpp); here we
   // label the two candidates by hand and add synthetic non-match vectors so
   // the toy tree has both classes.
+  FeatureMatrix matrix = batch->ToMatrix();
   Dataset train;
-  train.feature_names = matrix->feature_names;
-  train.x = matrix->rows;                 // (a1,b1), (a3,b2): true matches
+  train.feature_names = matrix.feature_names;
+  train.x = matrix.rows;                  // (a1,b1), (a3,b2): true matches
   train.y = {1, 1};
-  std::vector<double> negative(matrix->feature_names.size(), 0.0);
+  std::vector<double> negative(matrix.feature_names.size(), 0.0);
   train.x.push_back(negative);            // an all-dissimilar pair
   train.y.push_back(0);
 
@@ -62,7 +64,7 @@ int main() {
   if (!matcher.Fit(train).ok()) return 1;
 
   // Step 4 — predict on the candidates.
-  std::vector<int> pred = matcher.Predict(matrix->rows);
+  std::vector<int> pred = matcher.PredictBatch(*batch);
   std::printf("matches:\n");
   for (size_t i = 0; i < pred.size(); ++i) {
     if (pred[i] != 1) continue;

@@ -286,6 +286,58 @@ Result<std::unique_ptr<MlMatcher>> MakeMatcherByName(const std::string& name) {
   return m;
 }
 
+// What `emx match`, `emx run` and `emx serve` train from: features
+// generated over (left, right) under --exclude/--lowercase, and the decided
+// labels vectorized in sorted-pair order and mean-imputed, with the imputer
+// that scoring reuses.
+struct TrainingSet {
+  FeatureSet features;
+  MeanImputer imputer;
+  LabeledSet decided;  // the labels without Unsure
+  Dataset data;
+};
+
+Result<TrainingSet> BuildTrainingSet(const Args& args, const Table& left,
+                                     const Table& right,
+                                     const LabeledSet& labels,
+                                     const ExecutorContext& ctx) {
+  FeatureGenOptions fopts;
+  for (auto& col : Split(args.Flag("exclude"), ',')) {
+    if (!col.empty()) fopts.exclude.push_back(col);
+  }
+  for (auto& col : Split(args.Flag("lowercase"), ',')) {
+    if (!col.empty()) fopts.lowercase_variants.push_back(col);
+  }
+  TrainingSet out;
+  EMX_ASSIGN_OR_RETURN(out.features, GenerateFeatures(left, right, fopts));
+  out.decided = labels.WithoutUnsure();
+  CandidateSet pairs = out.decided.Pairs();
+  EMX_ASSIGN_OR_RETURN(FeatureMatrix matrix,
+                       VectorizePairs(left, right, pairs, out.features, ctx));
+  out.imputer.Fit(matrix);
+  EMX_RETURN_IF_ERROR(out.imputer.Transform(matrix));
+  out.data.feature_names = std::move(matrix.feature_names);
+  out.data.x = std::move(matrix.rows);
+  for (const RecordPair& p : pairs) {
+    Label l = Label::kNo;
+    out.decided.GetLabel(p, &l);
+    out.data.y.push_back(l == Label::kYes ? 1 : 0);
+  }
+  return out;
+}
+
+// A `name` matcher (see MakeMatcherByName) fitted on `data` on `ctx`.
+Result<std::shared_ptr<MlMatcher>> FitMatcher(const std::string& name,
+                                              const Dataset& data,
+                                              const ExecutorContext& ctx) {
+  EMX_ASSIGN_OR_RETURN(std::unique_ptr<MlMatcher> made,
+                       MakeMatcherByName(name));
+  std::shared_ptr<MlMatcher> matcher(std::move(made));
+  matcher->set_executor(ctx);
+  EMX_RETURN_IF_ERROR(matcher->Fit(data));
+  return matcher;
+}
+
 int CmdMatch(const Args& args, const ExecutorContext& ctx, std::string& out,
              std::string& err) {
   if (args.positional.size() != 2) {
@@ -304,49 +356,19 @@ int CmdMatch(const Args& args, const ExecutorContext& ctx, std::string& out,
   auto labels = ReadLabelsCsv(args.Flag("labels"));
   if (!labels.ok()) return Fail(err, labels.status().ToString());
 
-  FeatureGenOptions fopts;
-  for (auto& col : Split(args.Flag("exclude"), ',')) {
-    if (!col.empty()) fopts.exclude.push_back(col);
-  }
-  for (auto& col : Split(args.Flag("lowercase"), ',')) {
-    if (!col.empty()) fopts.lowercase_variants.push_back(col);
-  }
-  auto features = GenerateFeatures(*left, *right, fopts);
-  if (!features.ok()) return Fail(err, features.status().ToString());
-
-  // Train on the decided labels.
-  LabeledSet decided = labels->WithoutUnsure();
-  CandidateSet train_pairs = decided.Pairs();
-  auto train_matrix =
-      VectorizePairs(*left, *right, train_pairs, *features, ctx);
-  if (!train_matrix.ok()) return Fail(err, train_matrix.status().ToString());
-  MeanImputer imputer;
-  imputer.Fit(*train_matrix);
-  if (Status s = imputer.Transform(*train_matrix); !s.ok()) {
-    return Fail(err, s.ToString());
-  }
-  Dataset train;
-  train.feature_names = train_matrix->feature_names;
-  train.x = train_matrix->rows;
-  for (const RecordPair& p : train_pairs) {
-    Label l;
-    decided.GetLabel(p, &l);
-    train.y.push_back(l == Label::kYes ? 1 : 0);
-  }
-  auto matcher = MakeMatcherByName(args.Flag("matcher", "tree"));
+  auto training = BuildTrainingSet(args, *left, *right, *labels, ctx);
+  if (!training.ok()) return Fail(err, training.status().ToString());
+  auto matcher = FitMatcher(args.Flag("matcher", "tree"), training->data, ctx);
   if (!matcher.ok()) return Fail(err, matcher.status().ToString());
-  (*matcher)->set_executor(ctx);
-  if (Status s = (*matcher)->Fit(train); !s.ok()) {
-    return Fail(err, s.ToString());
-  }
 
-  // Predict over the candidate pairs.
-  auto matrix = VectorizePairs(*left, *right, *pairs, *features, ctx);
-  if (!matrix.ok()) return Fail(err, matrix.status().ToString());
-  if (Status s = imputer.Transform(*matrix); !s.ok()) {
+  // Score the candidate pairs.
+  auto batch = VectorizePairsBatch(*left, *right, *pairs,
+                                   training->features, ctx);
+  if (!batch.ok()) return Fail(err, batch.status().ToString());
+  if (Status s = training->imputer.Transform(*batch); !s.ok()) {
     return Fail(err, s.ToString());
   }
-  std::vector<int> pred = (*matcher)->Predict(matrix->rows);
+  std::vector<int> pred = (*matcher)->PredictBatch(*batch);
   std::vector<RecordPair> matched;
   for (size_t i = 0; i < pred.size(); ++i) {
     if (pred[i] == 1) matched.push_back((*pairs)[i]);
@@ -355,7 +377,7 @@ int CmdMatch(const Args& args, const ExecutorContext& ctx, std::string& out,
   out += StrFormat("%s predicted %zu matches over %zu candidate pairs "
                    "(%zu features, %zu training labels)\n",
                    (*matcher)->name().c_str(), matches.size(), pairs->size(),
-                   features->features.size(), train.size());
+                   training->features.features.size(), training->data.size());
   std::string out_path = args.Flag("out");
   if (!out_path.empty()) {
     Status s = WritePairsCsv(matches, out_path);
@@ -548,19 +570,12 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
   auto labels = ReadLabelsCsv(args.Flag("labels"));
   if (!labels.ok()) return Fail(err, labels.status().ToString());
 
-  FeatureGenOptions fopts;
-  for (auto& col : Split(args.Flag("exclude"), ',')) {
-    if (!col.empty()) fopts.exclude.push_back(col);
-  }
-  for (auto& col : Split(args.Flag("lowercase"), ',')) {
-    if (!col.empty()) fopts.lowercase_variants.push_back(col);
-  }
-  auto features = GenerateFeatures(*left, *right, fopts);
-  if (!features.ok()) return Fail(err, features.status().ToString());
-
   // Train stage. Vectorize the decided labels and fit the configured
   // matcher, unless a resumable model checkpoint matches the training
   // inputs exactly.
+  auto training = BuildTrainingSet(args, *left, *right, *labels, ctx);
+  if (!training.ok()) return Fail(err, training.status().ToString());
+
   const std::string checkpoint_dir = args.Flag("checkpoint-dir");
   const bool resume = args.Has("resume");
   std::optional<CheckpointStore> store;
@@ -570,22 +585,11 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
     store.emplace(std::move(*opened));
   }
 
-  LabeledSet decided = labels->WithoutUnsure();
-  CandidateSet train_pairs = decided.Pairs();
-  auto train_matrix =
-      VectorizePairs(*left, *right, train_pairs, *features, ctx);
-  if (!train_matrix.ok()) return Fail(err, train_matrix.status().ToString());
-  MeanImputer imputer;
-  imputer.Fit(*train_matrix);
-  if (Status s = imputer.Transform(*train_matrix); !s.ok()) {
-    return Fail(err, s.ToString());
-  }
-
   const std::string matcher_name = args.Flag("matcher", "tree");
   const std::string model_fp = HashHex(Fnv1a64(
       WriteCsvString(*left) + "\x1f" + WriteCsvString(*right) + "\x1f" +
-      SerializeLabelsForFingerprint(decided) + "\x1f" + matcher_name +
-      "\x1f" + Join(features->names(), ",")));
+      SerializeLabelsForFingerprint(training->decided) + "\x1f" +
+      matcher_name + "\x1f" + Join(training->features.names(), ",")));
 
   std::shared_ptr<MlMatcher> matcher;
   if (store && resume) {
@@ -595,21 +599,9 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
     }
   }
   if (matcher == nullptr) {
-    auto made = MakeMatcherByName(matcher_name);
-    if (!made.ok()) return Fail(err, made.status().ToString());
-    matcher = std::shared_ptr<MlMatcher>(std::move(*made));
-    matcher->set_executor(ctx);
-    Dataset train;
-    train.feature_names = train_matrix->feature_names;
-    train.x = train_matrix->rows;
-    for (const RecordPair& p : train_pairs) {
-      Label l = Label::kNo;
-      decided.GetLabel(p, &l);
-      train.y.push_back(l == Label::kYes ? 1 : 0);
-    }
-    if (Status s = matcher->Fit(train); !s.ok()) {
-      return Fail(err, s.ToString());
-    }
+    auto fitted = FitMatcher(matcher_name, training->data, ctx);
+    if (!fitted.ok()) return Fail(err, fitted.status().ToString());
+    matcher = std::move(*fitted);
     if (store) {
       std::string serialized = SerializeModel(*matcher, matcher_name);
       if (!serialized.empty()) {
@@ -627,7 +619,8 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
   EmWorkflow wf;
   wf.SetExecutor(ctx);
   wf.AddBlocker(*blocker_or);
-  wf.SetMatcher(matcher, std::move(*features), std::move(imputer));
+  wf.SetMatcher(matcher, std::move(training->features),
+                std::move(training->imputer));
   PipelineOptions popts;
   popts.checkpoint_dir = checkpoint_dir;
   popts.resume = resume;
@@ -704,45 +697,17 @@ int CmdServe(const Args& args, const ExecutorContext& ctx, std::string& out,
   auto labels = ReadLabelsCsv(args.Flag("labels"));
   if (!labels.ok()) return Fail(err, labels.status().ToString());
 
-  FeatureGenOptions fopts;
-  for (auto& col : Split(args.Flag("exclude"), ',')) {
-    if (!col.empty()) fopts.exclude.push_back(col);
-  }
-  for (auto& col : Split(args.Flag("lowercase"), ',')) {
-    if (!col.empty()) fopts.lowercase_variants.push_back(col);
-  }
-  auto features = GenerateFeatures(*left, *corpus, fopts);
-  if (!features.ok()) return Fail(err, features.status().ToString());
-
-  LabeledSet decided = labels->WithoutUnsure();
-  CandidateSet train_pairs = decided.Pairs();
-  auto train_matrix =
-      VectorizePairs(*left, *corpus, train_pairs, *features, ctx);
-  if (!train_matrix.ok()) return Fail(err, train_matrix.status().ToString());
-  MeanImputer imputer;
-  imputer.Fit(*train_matrix);
-  if (Status s = imputer.Transform(*train_matrix); !s.ok()) {
-    return Fail(err, s.ToString());
-  }
-
-  auto made = MakeMatcherByName(args.Flag("matcher", "forest"));
-  if (!made.ok()) return Fail(err, made.status().ToString());
-  std::shared_ptr<MlMatcher> matcher(std::move(*made));
-  matcher->set_executor(ctx);
-  Dataset train;
-  train.feature_names = train_matrix->feature_names;
-  train.x = train_matrix->rows;
-  for (const RecordPair& p : train_pairs) {
-    Label l = Label::kNo;
-    decided.GetLabel(p, &l);
-    train.y.push_back(l == Label::kYes ? 1 : 0);
-  }
-  if (Status s = matcher->Fit(train); !s.ok()) return Fail(err, s.ToString());
+  auto training = BuildTrainingSet(args, *left, *corpus, *labels, ctx);
+  if (!training.ok()) return Fail(err, training.status().ToString());
+  auto matcher =
+      FitMatcher(args.Flag("matcher", "forest"), training->data, ctx);
+  if (!matcher.ok()) return Fail(err, matcher.status().ToString());
 
   EmWorkflow wf;
   wf.SetExecutor(ctx);
   wf.AddBlocker(*blocker_or);
-  wf.SetMatcher(matcher, std::move(*features), std::move(imputer));
+  wf.SetMatcher(*matcher, std::move(training->features),
+                std::move(training->imputer));
 
   auto service = MatchService::Create(wf, *corpus, sopts, ctx);
   if (!service.ok()) return Fail(err, service.status().ToString());

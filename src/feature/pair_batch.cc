@@ -13,29 +13,14 @@ PairBatch PairBatch::FromRows(const std::vector<std::vector<double>>& rows) {
   return batch;
 }
 
-PairBatch PairBatch::FromMatrix(const FeatureMatrix& matrix) {
-  PairBatch batch = FromRows(matrix.rows);
-  batch.feature_names = matrix.feature_names;
-  if (batch.num_features() == 0 && !matrix.feature_names.empty()) {
-    // An empty candidate set still knows its width from the feature names.
-    batch.Reset(0, matrix.feature_names.size());
-  }
-  return batch;
-}
-
-std::vector<std::vector<double>> PairBatch::ToRows() const {
-  std::vector<std::vector<double>> rows(num_pairs_);
-  for (size_t i = 0; i < num_pairs_; ++i) {
-    rows[i].resize(num_features_);
-    RowTo(i, rows[i].data());
-  }
-  return rows;
-}
-
 FeatureMatrix PairBatch::ToMatrix() const {
   FeatureMatrix m;
   m.feature_names = feature_names;
-  m.rows = ToRows();
+  m.rows.resize(num_pairs_);
+  for (size_t i = 0; i < num_pairs_; ++i) {
+    m.rows[i].resize(num_features_);
+    RowTo(i, m.rows[i].data());
+  }
   return m;
 }
 

@@ -19,13 +19,17 @@ namespace emx {
 // one threshold's feature column per node visit). Columns keep those sweeps
 // on contiguous memory with zero per-pair allocation.
 //
-// Cell (i, f) holds exactly the double the row-major path would put in
-// rows[i][f]; conversions in either direction are pure copies, so
-// PairBatch-based pipelines are bit-identical to their row-based oracles.
+// It is the one type matchers and feature rules score: there is no
+// row-major scoring path. FromRows (training rows into a batch, for
+// cross-validation folds) and ToMatrix (a batch out to the row-major
+// FeatureMatrix that training still reads) are pure copies, so cell (i, f)
+// holds exactly the double rows[i][f] does.
 class PairBatch {
  public:
   PairBatch() = default;
-  PairBatch(size_t num_pairs, size_t num_features) {
+  // Explicit, so a braced row list such as {{1.0}, {2.0}} can never become
+  // a 1x2 batch by accident.
+  explicit PairBatch(size_t num_pairs, size_t num_features) {
     Reset(num_pairs, num_features);
   }
 
@@ -55,11 +59,9 @@ class PairBatch {
     for (size_t f = 0; f < num_features_; ++f) out[f] = At(i, f);
   }
 
-  // Transposing conversions to/from the row-major representations. Rows
-  // must be rectangular; FromRows infers the width from the first row.
+  // Transposing conversions. Rows must be rectangular; FromRows infers the
+  // width from the first row. ToMatrix keeps the feature names.
   static PairBatch FromRows(const std::vector<std::vector<double>>& rows);
-  static PairBatch FromMatrix(const FeatureMatrix& matrix);
-  std::vector<std::vector<double>> ToRows() const;
   FeatureMatrix ToMatrix() const;
 
   // Column names, parallel to the feature axis (may be empty when the batch

@@ -33,8 +33,6 @@ Result<CvResult> CrossValidate(const MatcherFactory& factory,
       if (fold == 0) matcher_name = model->name();
       statuses[fold] = model->Fit(train);
       if (!statuses[fold].ok()) continue;
-      // Columnar scoring path; PredictBatch(FromRows(x)) == Predict(x) by
-      // the PredictProbaBatch contract, so fold metrics are unchanged.
       fold_metrics[fold] = ComputeMetrics(
           test.y, model->PredictBatch(PairBatch::FromRows(test.x)));
     }
@@ -96,6 +94,7 @@ Result<std::vector<int>> LeaveOneOutPredictions(const MatcherFactory& factory,
       model->set_executor(ctx);
       statuses[i] = model->Fit(train);
       if (!statuses[i].ok()) continue;
+      // A one-pair batch scores row i exactly as it scores in any batch.
       out[i] = model->PredictBatch(PairBatch::FromRows({data.x[i]}))[0];
     }
   });

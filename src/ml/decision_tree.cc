@@ -116,22 +116,18 @@ int DecisionTreeMatcher::BuildNode(const std::vector<std::vector<double>>& x,
   return node_id;
 }
 
-std::vector<double> DecisionTreeMatcher::PredictProba(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<double> out;
-  out.reserve(x.size());
-  for (const auto& row : x) {
-    if (nodes_.empty()) {
-      out.push_back(0.0);
-      continue;
-    }
+std::vector<double> DecisionTreeMatcher::PredictProbaBatch(
+    const PairBatch& batch) const {
+  std::vector<double> out(batch.num_pairs(), 0.0);
+  if (nodes_.empty()) return out;
+  for (size_t i = 0; i < batch.num_pairs(); ++i) {
     int node = 0;
     while (nodes_[static_cast<size_t>(node)].feature >= 0) {
       const Node& nd = nodes_[static_cast<size_t>(node)];
-      double v = row[static_cast<size_t>(nd.feature)];
+      double v = batch.At(i, static_cast<size_t>(nd.feature));
       node = (v <= nd.threshold) ? nd.left : nd.right;
     }
-    out.push_back(nodes_[static_cast<size_t>(node)].positive_rate);
+    out[i] = nodes_[static_cast<size_t>(node)].positive_rate;
   }
   return out;
 }

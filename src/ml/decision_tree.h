@@ -27,8 +27,7 @@ class DecisionTreeMatcher : public MlMatcher {
   explicit DecisionTreeMatcher(DecisionTreeOptions options = {});
 
   Status Fit(const Dataset& data) override;
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "decision_tree"; }
 
   // Number of nodes in the fitted tree (0 before Fit).

@@ -6,8 +6,8 @@ namespace emx {
 
 namespace {
 
-// Rows are walked through every tree in blocks of kWalkBlock cursors. One
-// row's walk is a chain of dependent loads (each node read decides the next
+// Pairs are walked through every tree in blocks of kWalkBlock cursors. One
+// pair's walk is a chain of dependent loads (each node read decides the next
 // index), so a single cursor runs at memory latency; eight cursors are
 // independent chains the core overlaps, which is where the flat scorer's
 // speedup over the pointer walk comes from. Eight is enough to cover L1
@@ -90,41 +90,28 @@ void FlatForest::Build(const std::vector<DecisionTreeMatcher>& trees) {
   }
 }
 
-double FlatForest::PredictRow(const double* row) const {
-  double sum = 0.0;
-  for (size_t t = 0; t < roots_.size(); ++t) {
-    uint32_t idx = roots_[t];
-    for (uint32_t d = 0; d < depths_[t]; ++d) {
-      const Node nd = nodes_[idx];
-      const double v = row[static_cast<uint32_t>(nd.feature)];
-      // NaN fails the comparison and goes right, like the pointer walk.
-      const uint32_t next = nd.left + static_cast<uint32_t>(!(v <= nd.threshold));
-      if (next == idx) break;  // parked on a leaf
-      idx = next;
-    }
-    sum += leaf_value_[idx];
-  }
-  return sum / static_cast<double>(roots_.size());
-}
-
 namespace {
 
-// Walks rows [lo, hi) through every tree, kWalkBlock rows at a time.
-// `Access` binds a block of rows once (hoisting row pointers out of the
-// walk) and serves feature reads; it is the only difference between the
-// row-major and columnar entry points. Per row the navigation and the
-// tree-order accumulation are exactly PredictRow's, so the probabilities are
-// bit-identical; only the interleaving (tree-outer over a block of cursors)
-// changes.
-template <typename Access>
+// Cell (i, f) of a column-major batch whose column 0 starts at `cells`.
+inline double Cell(const double* cells, size_t stride, int32_t feature,
+                   size_t i) {
+  return cells[static_cast<size_t>(static_cast<uint32_t>(feature)) * stride +
+               i];
+}
+
+// Walks pairs [lo, hi) through every tree, kWalkBlock pairs at a time. A
+// blocked cursor and a tail pair take the same steps and accumulate in the
+// same tree order, so a pair's probability does not depend on where it
+// falls in the batch; only the interleaving (tree-outer over a block of
+// cursors) differs.
 void WalkBlockRange(const FlatForest::Node* nodes, const double* leaf_value,
                     const uint32_t* roots, const uint32_t* depths,
-                    size_t num_trees, size_t lo, size_t hi, Access access,
-                    double* out) {
+                    size_t num_trees, const double* cells, size_t stride,
+                    size_t lo, size_t hi, double* out) {
   const double trees = static_cast<double>(num_trees);
   size_t i = lo;
   for (; i + kWalkBlock <= hi; i += kWalkBlock) {
-    access.Bind(i);
+    const double* block = cells + i;  // folds the pair offset into one pointer
     double sum[kWalkBlock] = {0};
     uint32_t idx[kWalkBlock];
     for (size_t t = 0; t < num_trees; ++t) {
@@ -138,7 +125,7 @@ void WalkBlockRange(const FlatForest::Node* nodes, const double* leaf_value,
         uint32_t moved = 0;
         for (size_t r = 0; r < kWalkBlock; ++r) {
           const FlatForest::Node nd = nodes[idx[r]];
-          const double v = access.At(r, static_cast<uint32_t>(nd.feature));
+          const double v = Cell(block, stride, nd.feature, r);
           // NaN fails the comparison and goes right, like the pointer walk.
           const uint32_t next =
               nd.left + static_cast<uint32_t>(!(v <= nd.threshold));
@@ -147,7 +134,7 @@ void WalkBlockRange(const FlatForest::Node* nodes, const double* leaf_value,
         }
         // One predictable branch per LEVEL (not per cursor): stop when the
         // whole block is parked, so a lone deep branch in the tree doesn't
-        // cost every row its max depth.
+        // cost every pair its max depth.
         if (!moved) break;
       }
       for (size_t r = 0; r < kWalkBlock; ++r) sum[r] += leaf_value[idx[r]];
@@ -160,10 +147,10 @@ void WalkBlockRange(const FlatForest::Node* nodes, const double* leaf_value,
       uint32_t idx = roots[t];
       for (uint32_t d = 0; d < depths[t]; ++d) {
         const FlatForest::Node nd = nodes[idx];
-        const double v = access.One(i, static_cast<uint32_t>(nd.feature));
+        const double v = Cell(cells, stride, nd.feature, i);
         const uint32_t next =
             nd.left + static_cast<uint32_t>(!(v <= nd.threshold));
-        if (next == idx) break;
+        if (next == idx) break;  // parked on a leaf
         idx = next;
       }
       sum += leaf_value[idx];
@@ -172,59 +159,19 @@ void WalkBlockRange(const FlatForest::Node* nodes, const double* leaf_value,
   }
 }
 
-// Row-major feature access: one pointer load per row per BLOCK instead of
-// per step (x[i][f] through a vector<vector> is two dependent loads).
-struct RowMajorAccess {
-  const std::vector<std::vector<double>>* x;
-  const double* p[kWalkBlock];
-  void Bind(size_t i) {
-    for (size_t r = 0; r < kWalkBlock; ++r) p[r] = (*x)[i + r].data();
-  }
-  double At(size_t r, uint32_t f) const { return p[r][f]; }
-  double One(size_t i, uint32_t f) const { return (*x)[i][f]; }
-};
-
-// Column-major feature access over the PairBatch storage: cell (i, f) sits
-// at base[f * stride + i]; binding folds the row offset into one pointer.
-struct ColumnarAccess {
-  const double* base;
-  size_t stride;
-  const double* p = nullptr;
-  void Bind(size_t i) { p = base + i; }
-  double At(size_t r, uint32_t f) const {
-    return p[static_cast<size_t>(f) * stride + r];
-  }
-  double One(size_t i, uint32_t f) const {
-    return base[static_cast<size_t>(f) * stride + i];
-  }
-};
-
 }  // namespace
-
-std::vector<double> FlatForest::PredictRows(
-    const std::vector<std::vector<double>>& x,
-    const ExecutorContext& ctx) const {
-  std::vector<double> out(x.size(), 0.0);
-  if (empty()) return out;
-  ctx.get().ParallelFor(0, x.size(), /*grain=*/0, [&](size_t lo, size_t hi) {
-    WalkBlockRange(nodes_.data(), leaf_value_.data(), roots_.data(),
-                   depths_.data(), roots_.size(), lo, hi, RowMajorAccess{&x},
-                   out.data());
-  });
-  return out;
-}
 
 std::vector<double> FlatForest::PredictBatch(const PairBatch& batch,
                                              const ExecutorContext& ctx) const {
   std::vector<double> out(batch.num_pairs(), 0.0);
   if (empty()) return out;
   const size_t stride = batch.num_pairs();
-  const double* data = batch.num_features() > 0 ? batch.Column(0) : nullptr;
+  const double* cells = batch.num_features() > 0 ? batch.Column(0) : nullptr;
   ctx.get().ParallelFor(
       0, batch.num_pairs(), /*grain=*/0, [&](size_t lo, size_t hi) {
         WalkBlockRange(nodes_.data(), leaf_value_.data(), roots_.data(),
-                       depths_.data(), roots_.size(), lo, hi,
-                       ColumnarAccess{data, stride}, out.data());
+                       depths_.data(), roots_.size(), cells, stride, lo, hi,
+                       out.data());
       });
   return out;
 }

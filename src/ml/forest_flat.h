@@ -25,13 +25,14 @@ namespace emx {
 // (threshold = NaN fails every comparison, left = self - 1, so the step
 // re-selects the leaf); leaf probabilities live in a parallel leaf_value_
 // array. A walk is therefore pure straight-line code with no leaf test,
-// which lets the blocked scorer overlap eight rows' dependent-load chains.
+// which lets the blocked scorer overlap eight pairs' dependent-load chains.
+// There is one walk, over the columns of a PairBatch.
 //
 // Inference semantics are exactly the pointer walk's: NaN feature values
 // fail `v <= thr` and go right, leaves contribute their positive rate, and
 // the ensemble mean accumulates IN TREE ORDER before one divide — so flat
-// predictions are bit-identical to RandomForestMatcher::PredictProbaTreeWalk
-// (asserted by the equivalence suite in pair_batch_test).
+// predictions are bit-identical to RandomForestMatcher::PredictProbaTreeWalk,
+// the retained oracle (asserted by the equivalence suite in pair_batch_test).
 class FlatForest {
  public:
   struct Node {
@@ -49,14 +50,10 @@ class FlatForest {
   size_t num_trees() const { return roots_.size(); }
   size_t num_nodes() const { return nodes_.size(); }
 
-  // Mean leaf probability over all trees for one dense feature row.
-  double PredictRow(const double* row) const;
-
-  // Per-row probabilities; rows score in parallel chunks on `ctx`'s
-  // executor and each output slot is a pure function of its row, so results
-  // are identical at any thread count.
-  std::vector<double> PredictRows(const std::vector<std::vector<double>>& x,
-                                  const ExecutorContext& ctx) const;
+  // Mean leaf probability over all trees, per pair of `batch`. Pairs score
+  // in parallel chunks on `ctx`'s executor and each output slot is a pure
+  // function of its pair's row, so results are identical at any thread
+  // count. An empty forest scores every pair 0.
   std::vector<double> PredictBatch(const PairBatch& batch,
                                    const ExecutorContext& ctx) const;
 

@@ -68,20 +68,16 @@ Status LinearRegressionMatcher::Fit(const Dataset& data) {
   return Status::OK();
 }
 
-std::vector<double> LinearRegressionMatcher::PredictProba(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<double> out;
-  out.reserve(x.size());
-  for (const auto& row : x) {
-    if (w_.empty()) {
-      out.push_back(0.0);
-      continue;
-    }
+std::vector<double> LinearRegressionMatcher::PredictProbaBatch(
+    const PairBatch& batch) const {
+  std::vector<double> out(batch.num_pairs(), 0.0);
+  if (w_.empty()) return out;
+  for (size_t i = 0; i < batch.num_pairs(); ++i) {
     double z = w_[0];
-    for (size_t c = 0; c + 1 < w_.size() && c < row.size(); ++c) {
-      z += w_[c + 1] * row[c];
+    for (size_t c = 0; c + 1 < w_.size() && c < batch.num_features(); ++c) {
+      z += w_[c + 1] * batch.At(i, c);
     }
-    out.push_back(std::clamp(z, 0.0, 1.0));
+    out[i] = std::clamp(z, 0.0, 1.0);
   }
   return out;
 }

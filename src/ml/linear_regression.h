@@ -21,8 +21,7 @@ class LinearRegressionMatcher : public MlMatcher {
   explicit LinearRegressionMatcher(LinearRegressionOptions options = {});
 
   Status Fit(const Dataset& data) override;
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "linear_regression"; }
 
  private:

@@ -17,15 +17,14 @@ struct LinearSvmOptions {
 };
 
 // Linear SVM trained with the Pegasos stochastic sub-gradient algorithm on
-// standardized features. PredictProba maps the margin through a logistic
+// standardized features. Scoring maps the margin through a logistic
 // squashing so the ensemble/threshold machinery stays uniform.
 class LinearSvmMatcher : public MlMatcher {
  public:
   explicit LinearSvmMatcher(LinearSvmOptions options = {});
 
   Status Fit(const Dataset& data) override;
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "svm"; }
 
  private:

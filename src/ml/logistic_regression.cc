@@ -41,17 +41,15 @@ Status LogisticRegressionMatcher::Fit(const Dataset& data) {
   return Status::OK();
 }
 
-std::vector<double> LogisticRegressionMatcher::PredictProba(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<std::vector<double>> xs = scaler_.Transform(x);
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (const auto& row : xs) {
+std::vector<double> LogisticRegressionMatcher::PredictProbaBatch(
+    const PairBatch& batch) const {
+  std::vector<double> out(batch.num_pairs());
+  for (size_t i = 0; i < batch.num_pairs(); ++i) {
     double z = b_;
-    for (size_t c = 0; c < w_.size() && c < row.size(); ++c) {
-      z += w_[c] * row[c];
+    for (size_t c = 0; c < w_.size() && c < batch.num_features(); ++c) {
+      z += w_[c] * scaler_.Scale(c, batch.At(i, c));
     }
-    out.push_back(Sigmoid(z));
+    out[i] = Sigmoid(z);
   }
   return out;
 }

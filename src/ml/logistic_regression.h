@@ -22,8 +22,7 @@ class LogisticRegressionMatcher : public MlMatcher {
   explicit LogisticRegressionMatcher(LogisticRegressionOptions options = {});
 
   Status Fit(const Dataset& data) override;
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "logistic_regression"; }
 
   const std::vector<double>& weights() const { return w_; }

@@ -2,20 +2,6 @@
 
 namespace emx {
 
-std::vector<int> MlMatcher::Predict(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<double> proba = PredictProba(x);
-  std::vector<int> out(proba.size());
-  for (size_t i = 0; i < proba.size(); ++i) {
-    out[i] = proba[i] >= 0.5 ? 1 : 0;
-  }
-  return out;
-}
-
-std::vector<double> MlMatcher::PredictProbaBatch(const PairBatch& batch) const {
-  return PredictProba(batch.ToRows());
-}
-
 std::vector<int> MlMatcher::PredictBatch(const PairBatch& batch) const {
   std::vector<double> proba = PredictProbaBatch(batch);
   std::vector<int> out(proba.size());

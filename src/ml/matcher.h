@@ -16,7 +16,7 @@ namespace emx {
 // A trainable binary matcher over feature vectors — the C++ analogue of the
 // six scikit-learn matchers PyMatcher wraps (§9). Implementations are
 // deterministic given their seed options — INCLUDING across thread counts:
-// a matcher that parallelizes Fit/PredictProba on the configured executor
+// a matcher that parallelizes Fit or scoring on the configured executor
 // must produce bit-identical models and predictions at any pool size.
 class MlMatcher {
  public:
@@ -26,18 +26,12 @@ class MlMatcher {
   // where the model genuinely cannot fit (e.g. no rows).
   virtual Status Fit(const Dataset& data) = 0;
 
-  // Match probability per row, in [0, 1]. Requires a successful Fit.
-  virtual std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const = 0;
-
-  // 0/1 labels at the 0.5 probability threshold.
-  std::vector<int> Predict(const std::vector<std::vector<double>>& x) const;
-
-  // Match probability per pair of a columnar batch. The base implementation
-  // materializes rows and defers to PredictProba; matchers with a native
-  // batch path (RandomForestMatcher's flattened forest) override it. Must
-  // return exactly what PredictProba returns on the batch's rows.
-  virtual std::vector<double> PredictProbaBatch(const PairBatch& batch) const;
+  // Match probability per pair of a columnar batch, in [0, 1]; the one
+  // scoring path. Requires a successful Fit. Pair i's probability reads
+  // only row i, so it is the same double whether the pair is scored alone
+  // (serve, leave-one-out), in a full batch or in a permuted one.
+  virtual std::vector<double> PredictProbaBatch(
+      const PairBatch& batch) const = 0;
 
   // 0/1 labels for a columnar batch at the 0.5 threshold.
   std::vector<int> PredictBatch(const PairBatch& batch) const;
@@ -46,7 +40,7 @@ class MlMatcher {
 
   // Executor the matcher's internal data-parallel loops run on (ensemble
   // members, per-row prediction). Default: the shared pool. Set before Fit;
-  // not to be changed while a Fit or PredictProba is in flight.
+  // not to be changed while a Fit or a scoring call is in flight.
   void set_executor(const ExecutorContext& ctx) { exec_ctx_ = ctx; }
   const ExecutorContext& executor_context() const { return exec_ctx_; }
 

@@ -48,30 +48,27 @@ Status NaiveBayesMatcher::Fit(const Dataset& data) {
 }
 
 double NaiveBayesMatcher::LogLikelihood(const ClassStats& cs,
-                                        const std::vector<double>& row) const {
+                                        const PairBatch& batch,
+                                        size_t i) const {
   double ll = cs.log_prior;
-  for (size_t c = 0; c < cs.mean.size() && c < row.size(); ++c) {
-    double d = row[c] - cs.mean[c];
+  for (size_t c = 0; c < cs.mean.size() && c < batch.num_features(); ++c) {
+    double d = batch.At(i, c) - cs.mean[c];
     ll += -0.5 * (std::log(2.0 * M_PI * cs.var[c]) + d * d / cs.var[c]);
   }
   return ll;
 }
 
-std::vector<double> NaiveBayesMatcher::PredictProba(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<double> out;
-  out.reserve(x.size());
-  for (const auto& row : x) {
-    if (!fitted_) {
-      out.push_back(0.0);
-      continue;
-    }
-    double lp = LogLikelihood(pos_, row);
-    double ln = LogLikelihood(neg_, row);
+std::vector<double> NaiveBayesMatcher::PredictProbaBatch(
+    const PairBatch& batch) const {
+  std::vector<double> out(batch.num_pairs(), 0.0);
+  if (!fitted_) return out;
+  for (size_t i = 0; i < batch.num_pairs(); ++i) {
+    double lp = LogLikelihood(pos_, batch, i);
+    double ln = LogLikelihood(neg_, batch, i);
     double mx = std::max(lp, ln);
     double pp = std::exp(lp - mx);
     double pn = std::exp(ln - mx);
-    out.push_back(pp / (pp + pn));
+    out[i] = pp / (pp + pn);
   }
   return out;
 }

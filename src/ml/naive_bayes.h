@@ -15,8 +15,7 @@ class NaiveBayesMatcher : public MlMatcher {
   NaiveBayesMatcher() = default;
 
   Status Fit(const Dataset& data) override;
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "naive_bayes"; }
 
  private:
@@ -25,8 +24,9 @@ class NaiveBayesMatcher : public MlMatcher {
     std::vector<double> mean;
     std::vector<double> var;
   };
-  double LogLikelihood(const ClassStats& cs,
-                       const std::vector<double>& row) const;
+  // Log prior plus the Gaussian log density of pair i of `batch`.
+  double LogLikelihood(const ClassStats& cs, const PairBatch& batch,
+                       size_t i) const;
 
   ClassStats pos_, neg_;
   bool fitted_ = false;

@@ -126,35 +126,28 @@ Result<RandomForestMatcher> RandomForestMatcher::Deserialize(
 }
 
 std::vector<double> RandomForestMatcher::PredictProbaTreeWalk(
-    const std::vector<std::vector<double>>& x) const {
-  std::vector<double> out(x.size(), 0.0);
+    const PairBatch& batch) const {
+  std::vector<double> out(batch.num_pairs(), 0.0);
   if (trees_.empty()) return out;
   // Trees predict in parallel; the accumulation stays serial IN TREE ORDER
   // so the floating-point sum is bit-identical to the one-thread engine.
   ExecutorContext ctx = executor_context();
   std::vector<std::vector<double>> per_tree = ctx.get().ParallelMap(
       trees_.size(), /*grain=*/1,
-      [&](size_t t) { return trees_[t].PredictProba(x); });
+      [&](size_t t) { return trees_[t].PredictProbaBatch(batch); });
   for (const std::vector<double>& p : per_tree) {
-    for (size_t i = 0; i < x.size(); ++i) out[i] += p[i];
+    for (size_t i = 0; i < out.size(); ++i) out[i] += p[i];
   }
   for (double& v : out) v /= static_cast<double>(trees_.size());
   return out;
 }
 
-std::vector<double> RandomForestMatcher::PredictProba(
-    const std::vector<std::vector<double>>& x) const {
-  if (flat_.empty()) return PredictProbaTreeWalk(x);
-  // The flat walk accumulates each row's leaf probabilities in the same
-  // tree order before one divide, so the doubles match the tree walk bit
-  // for bit — only the memory layout and the parallel axis (rows, not
-  // trees) change.
-  return flat_.PredictRows(x, executor_context());
-}
-
 std::vector<double> RandomForestMatcher::PredictProbaBatch(
     const PairBatch& batch) const {
-  if (flat_.empty()) return MlMatcher::PredictProbaBatch(batch);
+  // The flat walk accumulates each pair's leaf probabilities in the same
+  // tree order before one divide, so the doubles match the tree walk bit
+  // for bit — only the memory layout and the parallel axis (pairs, not
+  // trees) change.
   return flat_.PredictBatch(batch, executor_context());
 }
 

@@ -29,17 +29,15 @@ class RandomForestMatcher : public MlMatcher {
   Status Fit(const Dataset& data) override;
 
   // Scores through the flattened forest (rebuilt on every Fit/Deserialize);
-  // bit-identical to PredictProbaTreeWalk below.
-  std::vector<double> PredictProba(
-      const std::vector<std::vector<double>>& x) const override;
+  // bit-identical to PredictProbaTreeWalk below. An unfitted forest's flat
+  // form is empty and scores every pair 0, like the tree walk.
   std::vector<double> PredictProbaBatch(const PairBatch& batch) const override;
   std::string name() const override { return "random_forest"; }
 
   // The original pointer-walking ensemble prediction, retained as the
   // equivalence oracle and the baseline bench_matchers measures the
   // flattened representation against.
-  std::vector<double> PredictProbaTreeWalk(
-      const std::vector<std::vector<double>>& x) const;
+  std::vector<double> PredictProbaTreeWalk(const PairBatch& batch) const;
 
   const FlatForest& flat_forest() const { return flat_; }
 

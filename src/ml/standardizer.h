@@ -32,12 +32,15 @@ class Standardizer {
     }
   }
 
+  // Standardized value of feature c; c must be a fitted column.
+  double Scale(size_t c, double v) const { return (v - mean_[c]) / std_[c]; }
+
   std::vector<std::vector<double>> Transform(
       const std::vector<std::vector<double>>& x) const {
     std::vector<std::vector<double>> out = x;
     for (auto& row : out) {
       for (size_t c = 0; c < row.size() && c < mean_.size(); ++c) {
-        row[c] = (row[c] - mean_[c]) / std_[c];
+        row[c] = Scale(c, row[c]);
       }
     }
     return out;

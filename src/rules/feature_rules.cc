@@ -90,56 +90,6 @@ Status FeatureRuleMatcher::AddRule(const std::string& name,
 }
 
 Result<std::vector<int>> FeatureRuleMatcher::Predict(
-    const FeatureMatrix& matrix) const {
-  EMX_ASSIGN_OR_RETURN(std::vector<int> firing, FiringRule(matrix));
-  std::vector<int> out(firing.size());
-  for (size_t i = 0; i < firing.size(); ++i) out[i] = firing[i] >= 0 ? 1 : 0;
-  return out;
-}
-
-Result<std::vector<int>> FeatureRuleMatcher::FiringRule(
-    const FeatureMatrix& matrix) const {
-  // Resolve feature names to column indices once.
-  std::vector<std::vector<std::pair<size_t, const FeaturePredicate*>>> bound(
-      rules_.size());
-  for (size_t r = 0; r < rules_.size(); ++r) {
-    for (const FeaturePredicate& pred : rules_[r].predicates) {
-      size_t col = matrix.feature_names.size();
-      for (size_t c = 0; c < matrix.feature_names.size(); ++c) {
-        if (matrix.feature_names[c] == pred.feature) {
-          col = c;
-          break;
-        }
-      }
-      if (col == matrix.feature_names.size()) {
-        return Status::NotFound("rule '" + rules_[r].name +
-                                "' references unknown feature '" +
-                                pred.feature + "'");
-      }
-      bound[r].push_back({col, &pred});
-    }
-  }
-
-  std::vector<int> out(matrix.num_rows(), -1);
-  for (size_t i = 0; i < matrix.num_rows(); ++i) {
-    for (size_t r = 0; r < rules_.size(); ++r) {
-      bool all = true;
-      for (const auto& [col, pred] : bound[r]) {
-        if (!pred->Holds(matrix.rows[i][col])) {
-          all = false;
-          break;
-        }
-      }
-      if (all) {
-        out[i] = static_cast<int>(r);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-Result<std::vector<int>> FeatureRuleMatcher::Predict(
     const PairBatch& batch) const {
   EMX_ASSIGN_OR_RETURN(std::vector<int> firing, FiringRule(batch));
   std::vector<int> out(firing.size());
@@ -170,7 +120,8 @@ Result<std::vector<int>> FeatureRuleMatcher::FiringRule(
   }
 
   // Rule-major over contiguous columns: rule r only claims pairs no earlier
-  // rule fired on, so the result is the row-major first-firing-rule vector.
+  // rule fired on, so each pair gets the first rule whose predicates all
+  // hold on its row.
   std::vector<int> out(batch.num_pairs(), -1);
   std::vector<uint8_t> holds(batch.num_pairs());
   for (size_t r = 0; r < rules_.size(); ++r) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/core/result.h"
-#include "src/feature/feature_gen.h"
 #include "src/feature/pair_batch.h"
 
 namespace emx {
@@ -54,18 +53,13 @@ class FeatureRuleMatcher {
 
   size_t num_rules() const { return rules_.size(); }
 
-  // 1 for rows where any rule fires, else 0. Fails if a rule references a
-  // feature column absent from `matrix`.
-  Result<std::vector<int>> Predict(const FeatureMatrix& matrix) const;
-
-  // Index of the first rule that fires per row (-1 when none does) — rule
-  // provenance for debugging.
-  Result<std::vector<int>> FiringRule(const FeatureMatrix& matrix) const;
-
-  // Columnar equivalents: predicates sweep contiguous feature columns of
-  // the batch, rule by rule, and a pair keeps the FIRST rule that fired —
-  // identical vectors to the row-major overloads on the same data.
+  // 1 for pairs where any rule fires, else 0. Fails if a rule references a
+  // feature absent from `batch.feature_names`.
   Result<std::vector<int>> Predict(const PairBatch& batch) const;
+
+  // Index of the first rule that fires per pair (-1 when none does) — rule
+  // provenance for debugging. Predicates sweep contiguous feature columns
+  // of the batch, rule by rule, and a pair keeps the FIRST rule that fired.
   Result<std::vector<int>> FiringRule(const PairBatch& batch) const;
 
  private:

@@ -7,16 +7,15 @@
 namespace emx {
 namespace {
 
-FeatureMatrix MakeMatrix() {
-  FeatureMatrix m;
-  m.feature_names = {"title_jac", "yeardiff", "name_sim"};
-  m.rows = {
+PairBatch MakeBatch() {
+  PairBatch batch = PairBatch::FromRows({
       {0.95, 1.0, 0.9},   // strong match evidence
       {0.95, 6.0, 0.9},   // similar title, far-apart years
       {0.30, 0.0, 0.2},   // weak everything
       {std::numeric_limits<double>::quiet_NaN(), 0.0, 0.99},  // missing title
-  };
-  return m;
+  });
+  batch.feature_names = {"title_jac", "yeardiff", "name_sim"};
+  return batch;
 }
 
 TEST(ParseFeatureRuleTest, ParsesConjunction) {
@@ -55,8 +54,7 @@ TEST(FeatureRuleMatcherTest, DisjunctionOfConjunctions) {
   FeatureRuleMatcher matcher;
   ASSERT_TRUE(matcher.AddRule("strong", "title_jac > 0.9 AND yeardiff <= 2").ok());
   ASSERT_TRUE(matcher.AddRule("by_name", "name_sim >= 0.95").ok());
-  FeatureMatrix m = MakeMatrix();
-  auto pred = matcher.Predict(m);
+  auto pred = matcher.Predict(MakeBatch());
   ASSERT_TRUE(pred.ok());
   // Row 0: strong fires. Row 1: years too far; name 0.9 < 0.95 -> no.
   // Row 2: nothing. Row 3: title NaN, but by_name fires.
@@ -67,7 +65,7 @@ TEST(FeatureRuleMatcherTest, FiringRuleReportsProvenance) {
   FeatureRuleMatcher matcher;
   ASSERT_TRUE(matcher.AddRule("a", "title_jac > 0.9").ok());
   ASSERT_TRUE(matcher.AddRule("b", "name_sim > 0.95").ok());
-  auto firing = matcher.FiringRule(MakeMatrix());
+  auto firing = matcher.FiringRule(MakeBatch());
   ASSERT_TRUE(firing.ok());
   EXPECT_EQ((*firing)[0], 0);   // first rule wins
   EXPECT_EQ((*firing)[2], -1);  // none
@@ -77,13 +75,13 @@ TEST(FeatureRuleMatcherTest, FiringRuleReportsProvenance) {
 TEST(FeatureRuleMatcherTest, UnknownFeatureIsNotFound) {
   FeatureRuleMatcher matcher;
   ASSERT_TRUE(matcher.AddRule("r", "no_such_feature > 0.5").ok());
-  EXPECT_EQ(matcher.Predict(MakeMatrix()).status().code(),
+  EXPECT_EQ(matcher.Predict(MakeBatch()).status().code(),
             StatusCode::kNotFound);
 }
 
 TEST(FeatureRuleMatcherTest, NoRulesPredictsNothing) {
   FeatureRuleMatcher matcher;
-  auto pred = matcher.Predict(MakeMatrix());
+  auto pred = matcher.Predict(MakeBatch());
   ASSERT_TRUE(pred.ok());
   for (int v : *pred) EXPECT_EQ(v, 0);
 }

@@ -30,8 +30,8 @@ TEST(TreeSerializationTest, RoundTripPredictsIdentically) {
   auto restored = DecisionTreeMatcher::Deserialize(tree.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_nodes(), tree.num_nodes());
-  Dataset probe = Blobs(25, 25, 6);
-  EXPECT_EQ(restored->PredictProba(probe.x), tree.PredictProba(probe.x));
+  const PairBatch probe = PairBatch::FromRows(Blobs(25, 25, 6).x);
+  EXPECT_EQ(restored->PredictProbaBatch(probe), tree.PredictProbaBatch(probe));
 }
 
 TEST(TreeSerializationTest, RejectsGarbage) {
@@ -59,8 +59,9 @@ TEST(ForestSerializationTest, RoundTripPredictsIdentically) {
   auto restored = RandomForestMatcher::Deserialize(forest.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_trees(), 9u);
-  Dataset probe = Blobs(20, 20, 8);
-  EXPECT_EQ(restored->PredictProba(probe.x), forest.PredictProba(probe.x));
+  const PairBatch probe = PairBatch::FromRows(Blobs(20, 20, 8).x);
+  EXPECT_EQ(restored->PredictProbaBatch(probe),
+            forest.PredictProbaBatch(probe));
 }
 
 TEST(ForestSerializationTest, RejectsGarbage) {

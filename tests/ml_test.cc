@@ -1,4 +1,8 @@
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,16 @@
 
 namespace emx {
 namespace {
+
+// Rows as the columnar batch every matcher scores.
+PairBatch Batch(const std::vector<std::vector<double>>& rows) {
+  return PairBatch::FromRows(rows);
+}
+
+// NaN-aware bitwise double equality.
+bool BitEq(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
 
 // --- Dataset & folds ------------------------------------------------------------
 
@@ -98,6 +112,23 @@ TEST(MetricsTest, DegenerateDenominators) {
   EXPECT_DOUBLE_EQ(m.Accuracy(), 1.0);
 }
 
+// Integer features with noisy labels: many cells hold rows of both
+// classes, so tree leaves keep fractions like 2/3 and a forest's mean
+// depends on the order it sums its trees in.
+Dataset MakeNoisyGrid(size_t n, uint64_t seed) {
+  RandomEngine rng(seed);
+  Dataset d;
+  d.feature_names = {"x", "y", "z"};
+  for (size_t i = 0; i < n; ++i) {
+    double x = std::round(rng.NextGaussian());
+    double y = std::round(rng.NextGaussian());
+    double z = static_cast<double>(rng.NextBelow(2));
+    d.x.push_back({x, y, z});
+    d.y.push_back(x + y + rng.NextGaussian() > 0 ? 1 : 0);
+  }
+  return d;
+}
+
 // --- every matcher family, via TEST_P --------------------------------------------
 
 struct FamilyCase {
@@ -128,7 +159,8 @@ TEST_P(MatcherFamilyTest, LearnsSeparableBlobs) {
   Dataset test = MakeDataset(20, 20, 12);
   auto m = fc.factory();
   ASSERT_TRUE(m->Fit(train).ok()) << fc.name;
-  BinaryMetrics metrics = ComputeMetrics(test.y, m->Predict(test.x));
+  BinaryMetrics metrics =
+      ComputeMetrics(test.y, m->PredictBatch(Batch(test.x)));
   EXPECT_GE(metrics.Accuracy(), 0.95) << fc.name;
 }
 
@@ -137,7 +169,7 @@ TEST_P(MatcherFamilyTest, ProbabilitiesInUnitInterval) {
   Dataset train = MakeDataset(30, 30, 13);
   auto m = fc.factory();
   ASSERT_TRUE(m->Fit(train).ok());
-  for (double p : m->PredictProba(train.x)) {
+  for (double p : m->PredictProbaBatch(Batch(train.x))) {
     EXPECT_GE(p, 0.0) << fc.name;
     EXPECT_LE(p, 1.0) << fc.name;
   }
@@ -157,7 +189,8 @@ TEST_P(MatcherFamilyTest, DeterministicAcrossRefits) {
   auto m2 = fc.factory();
   ASSERT_TRUE(m1->Fit(train).ok());
   ASSERT_TRUE(m2->Fit(train).ok());
-  EXPECT_EQ(m1->Predict(probe.x), m2->Predict(probe.x)) << fc.name;
+  EXPECT_EQ(m1->PredictBatch(Batch(probe.x)), m2->PredictBatch(Batch(probe.x)))
+      << fc.name;
 }
 
 TEST_P(MatcherFamilyTest, SingleClassTrainingPredictsThatClass) {
@@ -166,10 +199,59 @@ TEST_P(MatcherFamilyTest, SingleClassTrainingPredictsThatClass) {
   auto m = fc.factory();
   Status s = m->Fit(train);
   if (!s.ok()) return;  // rejecting degenerate input is also acceptable
-  std::vector<int> pred = m->Predict(train.x);
+  std::vector<int> pred = m->PredictBatch(Batch(train.x));
   size_t pos = 0;
   for (int p : pred) pos += static_cast<size_t>(p);
   EXPECT_GE(pos, pred.size() - pred.size() / 10) << fc.name;
+}
+
+TEST_P(MatcherFamilyTest, PairScoreIndependentOfBatchShape) {
+  // Serve scores one lookup's candidates and leave-one-out one held-out
+  // row, so a pair's probability must be the same double scored alone, in
+  // the full batch and in a permuted batch — NaN cells included, and for
+  // the forest at 1 and 8 threads, whose walk blocks pairs in eights.
+  FamilyCase fc = Case();
+  Dataset train = MakeNoisyGrid(200, 53);
+  Dataset probe = MakeDataset(25, 25, 54);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < probe.size(); i += 7) probe.x[i][i % 3] = nan;
+  std::vector<size_t> perm(probe.size());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  RandomEngine rng(55);
+  rng.Shuffle(perm);
+  std::vector<std::vector<double>> permuted_rows;
+  for (size_t i : perm) permuted_rows.push_back(probe.x[i]);
+
+  Executor p1(1), p8(8);
+  std::vector<double> first_pool;
+  for (Executor* pool : {&p1, &p8}) {
+    auto m = fc.factory();
+    m->set_executor(ExecutorContext{pool});
+    ASSERT_TRUE(m->Fit(train).ok()) << fc.name;
+    const std::vector<double> full = m->PredictProbaBatch(Batch(probe.x));
+    const std::vector<double> permuted =
+        m->PredictProbaBatch(Batch(permuted_rows));
+    ASSERT_EQ(full.size(), probe.size()) << fc.name;
+    ASSERT_EQ(permuted.size(), probe.size()) << fc.name;
+    for (size_t i = 0; i < probe.size(); ++i) {
+      const std::vector<double> alone =
+          m->PredictProbaBatch(Batch({probe.x[i]}));
+      ASSERT_EQ(alone.size(), 1u) << fc.name;
+      EXPECT_TRUE(BitEq(alone[0], full[i]))
+          << fc.name << " pair " << i << ": alone " << alone[0] << ", full "
+          << full[i];
+      EXPECT_TRUE(BitEq(permuted[i], full[perm[i]]))
+          << fc.name << " permuted slot " << i << " (pair " << perm[i] << ")";
+    }
+    if (first_pool.empty()) {
+      first_pool = full;
+    } else {
+      for (size_t i = 0; i < probe.size(); ++i) {
+        EXPECT_TRUE(BitEq(first_pool[i], full[i]))
+            << fc.name << " pair " << i << " differs at 8 threads";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, MatcherFamilyTest, ::testing::Range(0, 6));
@@ -186,7 +268,8 @@ TEST(DecisionTreeTest, SingleSplitOnCleanThreshold) {
   DecisionTreeMatcher tree;
   ASSERT_TRUE(tree.Fit(d).ok());
   EXPECT_EQ(tree.num_nodes(), 3u);  // root + two leaves
-  EXPECT_EQ(tree.Predict({{0.2}, {0.9}}), (std::vector<int>{0, 1}));
+  EXPECT_EQ(tree.PredictBatch(Batch({{0.2}, {0.9}})),
+            (std::vector<int>{0, 1}));
 }
 
 TEST(DecisionTreeTest, MaxDepthLimitsGrowth) {
@@ -233,19 +316,20 @@ TEST(RandomForestTest, BuildsRequestedTreeCount) {
 TEST(RandomForestTest, DifferentSeedsDifferentModels) {
   Dataset train = MakeDataset(30, 30, 31);
   // Near-boundary probes where ensemble votes differ.
-  std::vector<std::vector<double>> probes;
+  std::vector<std::vector<double>> rows;
   RandomEngine rng(33);
   for (int i = 0; i < 200; ++i) {
-    probes.push_back({rng.NextGaussian(), rng.NextGaussian(),
-                      rng.NextGaussian()});
+    rows.push_back({rng.NextGaussian(), rng.NextGaussian(),
+                    rng.NextGaussian()});
   }
+  const PairBatch probes = Batch(rows);
   RandomForestOptions a_opts, b_opts;
   a_opts.seed = 1;
   b_opts.seed = 2;
   RandomForestMatcher a(a_opts), b(b_opts);
   ASSERT_TRUE(a.Fit(train).ok());
   ASSERT_TRUE(b.Fit(train).ok());
-  EXPECT_NE(a.PredictProba(probes), b.PredictProba(probes));
+  EXPECT_NE(a.PredictProbaBatch(probes), b.PredictProbaBatch(probes));
 }
 
 TEST(RandomForestTest, ModelAndPredictionsIdenticalAtAnyThreadCount) {
@@ -253,12 +337,13 @@ TEST(RandomForestTest, ModelAndPredictionsIdenticalAtAnyThreadCount) {
   // in tree order, so the fitted ensemble and its probabilities must be
   // bit-identical whether training runs on 1 or 8 threads.
   Dataset train = MakeDataset(30, 30, 41);
-  std::vector<std::vector<double>> probes;
+  std::vector<std::vector<double>> rows;
   RandomEngine rng(43);
   for (int i = 0; i < 100; ++i) {
-    probes.push_back({rng.NextGaussian(), rng.NextGaussian(),
-                      rng.NextGaussian()});
+    rows.push_back({rng.NextGaussian(), rng.NextGaussian(),
+                    rng.NextGaussian()});
   }
+  const PairBatch probes = Batch(rows);
   Executor p1(1), p8(8);
   RandomForestMatcher serial, parallel;
   serial.set_executor(ExecutorContext{&p1});
@@ -266,7 +351,8 @@ TEST(RandomForestTest, ModelAndPredictionsIdenticalAtAnyThreadCount) {
   ASSERT_TRUE(serial.Fit(train).ok());
   ASSERT_TRUE(parallel.Fit(train).ok());
   EXPECT_EQ(serial.Serialize(), parallel.Serialize());
-  EXPECT_EQ(serial.PredictProba(probes), parallel.PredictProba(probes));
+  EXPECT_EQ(serial.PredictProbaBatch(probes),
+            parallel.PredictProbaBatch(probes));
   // And both match a forest fit without any executor context (shared pool).
   RandomForestMatcher plain;
   ASSERT_TRUE(plain.Fit(train).ok());

@@ -5,11 +5,12 @@
 // SIMD dispatch level — including a forced-scalar run, so the scalar
 // fallback is exercised even on AVX2 hardware. The same suite pins down the
 // PairBatch container, the batched vectorizer/imputer, the flattened-forest
-// scorer (incl. NaN routing and deserialize), the rule-matcher batch
-// overloads, and the Monge-Elkan kernel (bit-identical to the span form on
+// scorer (incl. NaN routing and deserialize), the feature-rule matcher, and
+// the Monge-Elkan kernel (bit-identical to the span form on
 // the case study and an SF-2 corpus at 1/2/8 threads; its Jaro-Winkler
 // bound never below the score it bounds).
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -165,37 +166,29 @@ TEST(PairBatchTest, ColumnMajorLayoutAndAccessors) {
   EXPECT_DOUBLE_EQ(row[1], 11.0);
 }
 
-TEST(PairBatchTest, RoundTripsPreserveValuesAndNames) {
-  FeatureMatrix m;
-  m.feature_names = {"a", "b", "c"};
-  double nan = std::numeric_limits<double>::quiet_NaN();
-  m.rows = {{1.0, nan, 3.0}, {4.0, 5.0, nan}};
-  PairBatch batch = PairBatch::FromMatrix(m);
-  EXPECT_EQ(batch.feature_names, m.feature_names);
-  FeatureMatrix back = batch.ToMatrix();
-  ASSERT_EQ(back.rows.size(), m.rows.size());
-  for (size_t i = 0; i < m.rows.size(); ++i) {
-    for (size_t f = 0; f < m.feature_names.size(); ++f) {
-      EXPECT_TRUE(BitEq(back.rows[i][f], m.rows[i][f])) << i << "," << f;
-      EXPECT_TRUE(BitEq(batch.At(i, f), m.rows[i][f])) << i << "," << f;
-    }
-  }
-  std::vector<std::vector<double>> rows = batch.ToRows();
-  std::vector<std::vector<double>> again = PairBatch::FromRows(rows).ToRows();
-  ASSERT_EQ(rows.size(), again.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t f = 0; f < rows[i].size(); ++f) {
-      EXPECT_TRUE(BitEq(rows[i][f], again[i][f])) << i << "," << f;
-    }
-  }
+// A row-major matrix as a named batch (FromRows copies only the cells).
+PairBatch BatchOf(const FeatureMatrix& m) {
+  PairBatch batch = PairBatch::FromRows(m.rows);
+  batch.feature_names = m.feature_names;
+  return batch;
 }
 
-TEST(PairBatchTest, EmptyMatrixKeepsFeatureWidth) {
-  FeatureMatrix m;
-  m.feature_names = {"a", "b"};
-  PairBatch batch = PairBatch::FromMatrix(m);
-  EXPECT_EQ(batch.num_pairs(), 0u);
-  EXPECT_EQ(batch.num_features(), 2u);
+TEST(PairBatchTest, RoundTripsPreserveValuesAndNames) {
+  double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> rows = {{1.0, nan, 3.0},
+                                                 {4.0, 5.0, nan}};
+  PairBatch batch = PairBatch::FromRows(rows);
+  batch.feature_names = {"a", "b", "c"};
+  FeatureMatrix back = batch.ToMatrix();
+  EXPECT_EQ(back.feature_names, batch.feature_names);
+  ASSERT_EQ(back.rows.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(back.rows[i].size(), rows[i].size());
+    for (size_t f = 0; f < rows[i].size(); ++f) {
+      EXPECT_TRUE(BitEq(back.rows[i][f], rows[i][f])) << i << "," << f;
+      EXPECT_TRUE(BitEq(batch.At(i, f), rows[i][f])) << i << "," << f;
+    }
+  }
 }
 
 // ---------- batch kernels vs oracle, across SIMD levels and threads ----------
@@ -357,18 +350,20 @@ TEST(FlatForestTest, BitExactVsTreeWalkIncludingNaNRouting) {
   EXPECT_FALSE(forest.flat_forest().empty());
   EXPECT_EQ(forest.flat_forest().num_trees(), 16u);
 
-  const std::vector<std::vector<double>> probe = ForestProbe(500, 31);
+  const PairBatch probe = PairBatch::FromRows(ForestProbe(500, 31));
   const std::vector<double> walk = forest.PredictProbaTreeWalk(probe);
-  const std::vector<double> flat = forest.PredictProba(probe);
+  const std::vector<double> flat = forest.PredictProbaBatch(probe);
   ASSERT_EQ(walk.size(), flat.size());
   for (size_t i = 0; i < walk.size(); ++i) {
     EXPECT_TRUE(BitEq(walk[i], flat[i]))
         << "row " << i << ": walk=" << walk[i] << " flat=" << flat[i];
   }
 
-  // The columnar entry point reads strided columns — same doubles.
+  // On 8 threads the executor chunks move the walk's eight-pair block
+  // boundaries — same doubles.
+  Executor p8(8);
   const std::vector<double> batch =
-      forest.PredictProbaBatch(PairBatch::FromRows(probe));
+      forest.flat_forest().PredictBatch(probe, ExecutorContext{&p8});
   for (size_t i = 0; i < walk.size(); ++i) {
     EXPECT_TRUE(BitEq(walk[i], batch[i])) << "row " << i;
   }
@@ -383,9 +378,9 @@ TEST(FlatForestTest, RebuiltAfterDeserialize) {
   auto restored = RandomForestMatcher::Deserialize(forest.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored->flat_forest().empty());
-  const std::vector<std::vector<double>> probe = ForestProbe(200, 77);
-  const std::vector<double> before = forest.PredictProba(probe);
-  const std::vector<double> after = restored->PredictProba(probe);
+  const PairBatch probe = PairBatch::FromRows(ForestProbe(200, 77));
+  const std::vector<double> before = forest.PredictProbaBatch(probe);
+  const std::vector<double> after = restored->PredictProbaBatch(probe);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_TRUE(BitEq(before[i], after[i])) << "row " << i;
   }
@@ -458,14 +453,14 @@ TEST(ImputerBatchTest, FitAndTransformMatchMatrixOverloads) {
 
   MeanImputer from_matrix, from_batch;
   from_matrix.Fit(m);
-  from_batch.Fit(PairBatch::FromMatrix(m));
+  from_batch.Fit(BatchOf(m));
   ASSERT_EQ(from_matrix.means().size(), from_batch.means().size());
   for (size_t f = 0; f < from_matrix.means().size(); ++f) {
     EXPECT_TRUE(BitEq(from_matrix.means()[f], from_batch.means()[f])) << f;
   }
 
   FeatureMatrix mm = m;
-  PairBatch batch = PairBatch::FromMatrix(m);
+  PairBatch batch = BatchOf(m);
   ASSERT_TRUE(from_matrix.Transform(mm).ok());
   ASSERT_TRUE(from_matrix.Transform(batch).ok());
   for (size_t i = 0; i < mm.rows.size(); ++i) {
@@ -478,35 +473,61 @@ TEST(ImputerBatchTest, FitAndTransformMatchMatrixOverloads) {
   EXPECT_EQ(from_matrix.Transform(wrong).code(), StatusCode::kInvalidArgument);
 }
 
-// ---------- rule-matcher batch overloads ----------
+// ---------- feature-rule matcher over batch columns ----------
 
-TEST(FeatureRulesBatchTest, PredictAndFiringRuleMatchMatrixOverloads) {
+TEST(FeatureRulesBatchTest, PredictAndFiringRuleMatchFirstFiringReference) {
+  std::vector<FeatureRule> parsed;
+  for (const auto& [name, expr] :
+       {std::pair{"strong", "sim > 0.9 AND diff <= 1"},
+        std::pair{"loose", "sim >= 0.4"}}) {
+    auto rule = ParseFeatureRule(name, expr);
+    ASSERT_TRUE(rule.ok());
+    parsed.push_back(*rule);
+  }
   FeatureRuleMatcher rules;
-  ASSERT_TRUE(rules.AddRule("strong", "sim > 0.9 AND diff <= 1").ok());
-  ASSERT_TRUE(rules.AddRule("loose", "sim >= 0.4").ok());
+  for (const FeatureRule& rule : parsed) rules.AddRule(rule);
 
-  FeatureMatrix m;
-  m.feature_names = {"diff", "sim"};
+  std::vector<std::vector<double>> rows;
   double nan = std::numeric_limits<double>::quiet_NaN();
   std::mt19937 rng(17);
   std::uniform_real_distribution<double> sim(0.0, 1.0);
   std::uniform_int_distribution<int> diff(0, 3);
   for (int i = 0; i < 500; ++i) {
     double s = i % 11 == 0 ? nan : sim(rng);
-    m.rows.push_back({static_cast<double>(diff(rng)), s});
+    rows.push_back({static_cast<double>(diff(rng)), s});
+  }
+  PairBatch batch = PairBatch::FromRows(rows);
+  batch.feature_names = {"diff", "sim"};
+
+  // Reference, one pair at a time: the first rule whose predicates all
+  // hold on the pair's row, or -1.
+  std::vector<int> want_firing(rows.size(), -1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t r = 0; r < parsed.size() && want_firing[i] < 0; ++r) {
+      bool all = true;
+      for (const FeaturePredicate& pred : parsed[r].predicates) {
+        const size_t col = pred.feature == "diff" ? 0 : 1;
+        all = all && pred.Holds(rows[i][col]);
+      }
+      if (all) want_firing[i] = static_cast<int>(r);
+    }
+  }
+  std::vector<int> want_pred(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    want_pred[i] = want_firing[i] >= 0 ? 1 : 0;
+  }
+  // Every outcome occurs, so the comparison below is not vacuous.
+  for (int outcome : {-1, 0, 1}) {
+    EXPECT_GT(std::count(want_firing.begin(), want_firing.end(), outcome), 0)
+        << outcome;
   }
 
-  auto firing_m = rules.FiringRule(m);
-  auto firing_b = rules.FiringRule(PairBatch::FromMatrix(m));
-  ASSERT_TRUE(firing_m.ok());
-  ASSERT_TRUE(firing_b.ok());
-  EXPECT_EQ(*firing_m, *firing_b);
-
-  auto pred_m = rules.Predict(m);
-  auto pred_b = rules.Predict(PairBatch::FromMatrix(m));
-  ASSERT_TRUE(pred_m.ok());
-  ASSERT_TRUE(pred_b.ok());
-  EXPECT_EQ(*pred_m, *pred_b);
+  auto firing = rules.FiringRule(batch);
+  ASSERT_TRUE(firing.ok());
+  EXPECT_EQ(*firing, want_firing);
+  auto pred = rules.Predict(batch);
+  ASSERT_TRUE(pred.ok());
+  EXPECT_EQ(*pred, want_pred);
 }
 
 TEST(FeatureRulesBatchTest, UnknownFeatureIsNotFound) {
