@@ -78,13 +78,13 @@ struct PreppedCorpus {
 PreppedCorpus Prep(const ScaleCorpus& corpus) {
   PreppedCorpus out;
   out.cache = std::make_shared<PrepCache>();
-  auto lcol = corpus.left.ColumnByName("AwardTitle");
-  auto rcol = corpus.right.ColumnByName("AwardTitle");
-  if (!lcol.ok() || !rcol.ok()) std::abort();
   WhitespaceTokenizer tok;
   PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/true};
-  out.left = out.cache->Get(**lcol, opts, &tok);
-  out.right = out.cache->Get(**rcol, opts, &tok);
+  auto left = out.cache->Get(corpus.left, "AwardTitle", opts, &tok);
+  auto right = out.cache->Get(corpus.right, "AwardTitle", opts, &tok);
+  if (!left.ok() || !right.ok()) std::abort();
+  out.left = *left;
+  out.right = *right;
   return out;
 }
 

@@ -67,12 +67,13 @@ void WarmCache(const Table& left, const Table& right, const FeatureSet& features
                PrepCache* cache) {
   for (const Feature& f : features.features) {
     if (!f.has_prep()) continue;
-    auto lcol = left.ColumnByName(f.left_attr);
-    auto rcol = right.ColumnByName(f.right_attr);
-    if (!lcol.ok() || !rcol.ok()) std::abort();
     FeaturePrep prep = PrepForFeature(f.prep);
-    cache->Get(**lcol, prep.options, prep.tokenizer.get());
-    cache->Get(**rcol, prep.options, prep.tokenizer.get());
+    if (!cache->Get(left, f.left_attr, prep.options, prep.tokenizer.get())
+             .ok() ||
+        !cache->Get(right, f.right_attr, prep.options, prep.tokenizer.get())
+             .ok()) {
+      std::abort();
+    }
   }
 }
 

@@ -94,20 +94,18 @@ TokenOverlapBlocker::TokenOverlapBlocker(OverlapBlockerOptions options,
 
 Result<CandidateSet> TokenOverlapBlocker::Block(
     const Table& left, const Table& right, const ExecutorContext& ctx) const {
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol,
-                       left.ColumnByName(options_.left_attr));
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                       right.ColumnByName(options_.right_attr));
   // Both sides prep through the installed workflow cache, or a local one
   // for standalone Block calls — either way one interner, so their id
   // spans are directly comparable.
   PrepCache local;
   PrepCache& cache = prep_cache_ ? *prep_cache_ : local;
   PrepOptions prep = internal_block::ToPrepOptions(options_);
-  std::shared_ptr<const PreparedColumn> lp =
-      cache.Get(*lcol, prep, tokenizer_.get());
-  std::shared_ptr<const PreparedColumn> rp =
-      cache.Get(*rcol, prep, tokenizer_.get());
+  EMX_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedColumn> lp,
+      cache.Get(left, options_.left_attr, prep, tokenizer_.get()));
+  EMX_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PreparedColumn> rp,
+      cache.Get(right, options_.right_attr, prep, tokenizer_.get()));
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
   return internal_block::PartitionedOverlapJoin(*lp, *rp, keep_,

@@ -32,18 +32,17 @@ Result<CandidateSet> JaccardJoinBlocker::Block(const Table& left,
 Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
     const Table& left, const Table& right, BlockStats* stats,
     const ExecutorContext& ctx) const {
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol,
-                       left.ColumnByName(options_.left_attr));
-  EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                       right.ColumnByName(options_.right_attr));
   // Prep both columns once into id spans over a shared interner (the
   // workflow cache when installed, else a call-local one — kept alive here
   // because the token-string snapshot below views into its interner).
   std::shared_ptr<PrepCache> cache =
       prep_cache_ ? prep_cache_ : std::make_shared<PrepCache>();
   PrepOptions prep = internal_block::ToPrepOptions(options_);
-  auto lp = cache->Get(*lcol, prep, tokenizer_.get());
-  auto rp = cache->Get(*rcol, prep, tokenizer_.get());
+  EMX_ASSIGN_OR_RETURN(
+      auto lp, cache->Get(left, options_.left_attr, prep, tokenizer_.get()));
+  EMX_ASSIGN_OR_RETURN(
+      auto rp,
+      cache->Get(right, options_.right_attr, prep, tokenizer_.get()));
   std::vector<std::string_view> token_strings = cache->TokenStringsSnapshot();
 
   // Global token frequency over both sides; prefixes are ordered

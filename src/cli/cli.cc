@@ -717,9 +717,11 @@ int CmdServe(const Args& args, const ExecutorContext& ctx, std::string& out,
   if (!requests_path.empty()) {
     std::ifstream in(requests_path);
     if (!in) return Fail(err, "serve: cannot open " + requests_path);
+    // A request file is read faster than it is served; it waits for queue
+    // room rather than shedding, so every request is answered.
     std::ostringstream responses;
     ServeLoop loop(service->get(), lopts, &responses, ctx);
-    if (Status s = loop.Run(in); !s.ok()) return Fail(err, s.ToString());
+    if (Status s = loop.Replay(in); !s.ok()) return Fail(err, s.ToString());
     out += responses.str();
     totals.admitted = loop.counters().admitted.load();
     totals.shed = loop.counters().shed.load();

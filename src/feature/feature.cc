@@ -32,13 +32,12 @@ std::string_view PrepView(const Value& v, bool lowercase, std::string* buf) {
 }
 
 // Builds a string feature: scorer over two normalized strings, evaluable
-// per pair (fn), against cached prepped columns (prep_fn), or a whole
-// column at a time (batch_fn, when the measure has a batch kernel).
+// per pair (fn) or over the normalized texts of prepped columns a whole
+// column at a time (batch_fn, the measure's batch kernel).
 template <typename Fn>
 Feature StringFeature(std::string name, const std::string& left_attr,
                       const std::string& right_attr, Fn scorer,
-                      bool lowercase,
-                      Feature::BatchScoreFn batch_fn = nullptr) {
+                      bool lowercase, Feature::BatchScoreFn batch_fn) {
   Feature f;
   f.name = std::move(name);
   f.left_attr = left_attr;
@@ -49,11 +48,6 @@ Feature StringFeature(std::string name, const std::string& left_attr,
     return scorer(PrepView(a, lowercase, &ba), PrepView(b, lowercase, &bb));
   };
   f.prep = {lowercase, /*tokenize=*/false, /*qgram=*/0};
-  f.prep_fn = [scorer](const PreparedColumn& lc, size_t i,
-                       const PreparedColumn& rc, size_t j) -> double {
-    if (lc.is_null(i) || rc.is_null(j)) return kNaN;
-    return scorer(lc.text(i), rc.text(j));
-  };
   f.batch_fn = batch_fn;
   return f;
 }

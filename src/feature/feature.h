@@ -26,11 +26,11 @@ struct FeaturePrepSpec {
 // Every feature carries the legacy per-pair `fn` (re-normalizes and
 // re-tokenizes both values on every call — still the right tool for
 // one-off evaluations, rules, and tests). String/token features
-// ADDITIONALLY carry `prep_fn` plus the `prep` spec describing the cached
-// representation it reads: VectorizePairs preps each referenced column
-// once per spec and evaluates pairs against PreparedColumns — same doubles,
-// bit for bit, with no per-pair allocation. Both PreparedColumns passed to
-// one prep_fn call must come from the SAME PrepCache (shared interner).
+// ADDITIONALLY carry the `prep` spec of the PreparedColumns they read and
+// an evaluator over them — `batch_fn` for character-sequence features,
+// `prep_fn` (whose two columns must share one interner) for token
+// features: VectorizePairs preps each referenced column once per spec, and
+// the doubles equal fn's bit for bit, with no per-pair allocation.
 struct Feature {
   // Columnar scorer: out[i] = score of (a[i], b[i]) for n contiguous lanes
   // of already-normalized text. Plain function pointer — every batch kernel
@@ -43,14 +43,15 @@ struct Feature {
   std::string left_attr;
   std::string right_attr;
   std::function<double(const Value&, const Value&)> fn;
-  FeaturePrepSpec prep;    // meaningful only when prep_fn is set
+  FeaturePrepSpec prep;    // meaningful only when has_prep()
   std::function<double(const PreparedColumn&, size_t, const PreparedColumn&,
                        size_t)>
-      prep_fn;             // empty for numeric/date features
+      prep_fn;             // set for token features
   BatchScoreFn batch_fn = nullptr;  // set for character-sequence features;
-                                    // bit-identical to prep_fn per lane
+                                    // bit-identical to fn per lane
 
-  bool has_prep() const { return static_cast<bool>(prep_fn); }
+  // Numeric and date features only have fn.
+  bool has_prep() const { return prep_fn || batch_fn != nullptr; }
   bool has_batch() const { return batch_fn != nullptr; }
 };
 

@@ -105,27 +105,23 @@ Result<std::vector<uint32_t>> TouchedRows(const CandidateSet& pairs,
   return rows;
 }
 
-// Whether PrepForFeature preps a column identically under both specs.
-bool SamePrep(const FeaturePrepSpec& a, const FeaturePrepSpec& b) {
-  return a.lowercase == b.lowercase && a.tokenize == b.tokenize &&
-         (!a.tokenize || std::max(a.qgram, 0) == std::max(b.qgram, 0));
-}
-
-// One (column, prep spec) that prepared features bind, and the rows they
+// One (table column, prep) that prepared features bind, and the rows they
 // read in it: one side's, or the union of both sides' when a self-join
-// binds the same column storage on both.
+// binds the same table's column on both.
 struct PrepFamily {
-  const std::vector<Value>* column;
-  FeaturePrepSpec spec;
+  const Table* table;
+  const std::string* attr;
+  FeaturePrep prep;
+  std::string prep_key;  // PrepKey of `prep`
   const std::vector<uint32_t>* rows;
 };
 
 // Resolves every feature's attribute columns (NotFound when one is
 // missing). With `prepared`, each feature with a prepared evaluator also
-// binds its columns' prepared forms: one per (column, prep spec) family of
-// the call, through `cache`, prepping only the rows its family reads. Each
-// touched record is prepped once no matter how many pairs and features
-// read it.
+// binds its columns' prepared forms: one per (table column, PrepKey)
+// family of the call, through `cache`, prepping only the rows its family
+// reads. Each touched record is prepped once no matter how many pairs and
+// features read it.
 Result<BoundFeatures> BindFeatures(const Table& left, const Table& right,
                                    const std::vector<uint32_t>& left_rows,
                                    const std::vector<uint32_t>& right_rows,
@@ -135,16 +131,17 @@ Result<BoundFeatures> BindFeatures(const Table& left, const Table& right,
   out.inputs.reserve(features.features.size());
   std::vector<PrepFamily> families;
   std::vector<uint32_t> both_rows;  // built on first need
-  auto family_of = [&](const std::vector<Value>* column,
-                       const FeaturePrepSpec& spec,
+  auto family_of = [&](const Table& table, const std::string& attr,
+                       const FeaturePrep& prep, const std::string& prep_key,
                        const std::vector<uint32_t>* rows) {
     size_t i = 0;
-    while (i < families.size() && !(families[i].column == column &&
-                                    SamePrep(families[i].spec, spec))) {
+    while (i < families.size() &&
+           !(families[i].table == &table && *families[i].attr == attr &&
+             families[i].prep_key == prep_key)) {
       ++i;
     }
     if (i == families.size()) {
-      families.push_back({column, spec, rows});
+      families.push_back({&table, &attr, prep, prep_key, rows});
     } else if (families[i].rows != rows) {
       if (both_rows.empty()) {
         std::set_union(left_rows.begin(), left_rows.end(), right_rows.begin(),
@@ -162,15 +159,20 @@ Result<BoundFeatures> BindFeatures(const Table& left, const Table& right,
     EMX_ASSIGN_OR_RETURN(in.right, right.ColumnByName(f.right_attr));
     sides.emplace_back();
     if (prepared && f.has_prep()) {
-      sides.back().emplace(family_of(in.left, f.prep, &left_rows),
-                           family_of(in.right, f.prep, &right_rows));
+      const FeaturePrep prep = PrepForFeature(f.prep);
+      const std::string prep_key = PrepKey(prep.options, prep.tokenizer.get());
+      sides.back().emplace(
+          family_of(left, f.left_attr, prep, prep_key, &left_rows),
+          family_of(right, f.right_attr, prep, prep_key, &right_rows));
     }
     out.inputs.push_back(in);
   }
   for (const PrepFamily& fam : families) {
-    FeaturePrep prep = PrepForFeature(fam.spec);
-    out.preps.push_back(cache.GetRows(*fam.column, *fam.rows, prep.options,
-                                      prep.tokenizer.get()));
+    EMX_ASSIGN_OR_RETURN(
+        std::shared_ptr<const PreparedColumn> column,
+        cache.GetRows(*fam.table, *fam.attr, *fam.rows, fam.prep.options,
+                      fam.prep.tokenizer.get()));
+    out.preps.push_back(std::move(column));
   }
   for (size_t i = 0; i < sides.size(); ++i) {
     if (!sides[i]) continue;

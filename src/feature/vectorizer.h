@@ -37,10 +37,10 @@ struct FeatureInputs {
 // Writes feature i of pairs[k] to batch->Column(i)[k] for k in [lo, hi),
 // feature-major: each feature sweeps the range before the next starts. A
 // prepared feature with a batch kernel scores the range's non-null lanes
-// in one kernel call (a null side scores NaN); one without calls prep_fn
-// per pair. The batch vectorizer calls this once per executor chunk and
-// MatchService::Lookup once over its (query, record) pairs, so both
-// compute the same doubles. Feature fns must be thread-safe.
+// in one kernel call (a null side scores NaN); a token feature calls its
+// prep_fn per pair. The batch vectorizer calls this once per executor
+// chunk and MatchService::Lookup once over its (query, record) pairs, so
+// both compute the same doubles. Feature fns must be thread-safe.
 void EvaluateFeatures(const FeatureSet& features,
                       const std::vector<FeatureInputs>& inputs,
                       const std::vector<RecordPair>& pairs, size_t lo,

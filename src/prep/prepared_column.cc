@@ -255,50 +255,40 @@ void PreparedColumn::PrepQuery(const Value& value, const PrepOptions& options,
   AppendRow(value, options, tokenizer, &text_[0], &query_buffer_, tokens);
 }
 
-PrepCache::Key PrepCache::MakeKey(const std::vector<Value>& column,
-                                  const PrepOptions& options,
-                                  const Tokenizer* tokenizer) {
-  return {column.data(), column.size(), PrepKey(options, tokenizer)};
+Result<PrepCache::Key> PrepCache::MakeKey(const Table& table,
+                                          const std::string& attr,
+                                          const PrepOptions& options,
+                                          const Tokenizer* tokenizer) {
+  const int col = table.schema().IndexOf(attr);
+  if (col < 0) return Status::NotFound("no column named " + attr);
+  return Key{table.version(), static_cast<size_t>(col),
+             PrepKey(options, tokenizer)};
 }
 
-std::shared_ptr<const PreparedColumn> PrepCache::Get(
-    const std::vector<Value>& column, const PrepOptions& options,
+Result<std::shared_ptr<const PreparedColumn>> PrepCache::Get(
+    const Table& table, const std::string& attr, const PrepOptions& options,
     const Tokenizer* tokenizer) {
-  Key key = MakeKey(column, options, tokenizer);
+  EMX_ASSIGN_OR_RETURN(Key key, MakeKey(table, attr, options, tokenizer));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  auto prepared = std::make_shared<const PreparedColumn>(column, options,
-                                                         tokenizer, interner_);
+  auto prepared = std::make_shared<const PreparedColumn>(
+      table.column(key.column), options, tokenizer, interner_);
   cache_.emplace(std::move(key), prepared);
   return prepared;
 }
 
-std::shared_ptr<const PreparedColumn> PrepCache::GetRows(
-    const std::vector<Value>& column, const std::vector<uint32_t>& rows,
-    const PrepOptions& options, const Tokenizer* tokenizer) {
-  const Key key = MakeKey(column, options, tokenizer);
+Result<std::shared_ptr<const PreparedColumn>> PrepCache::GetRows(
+    const Table& table, const std::string& attr,
+    const std::vector<uint32_t>& rows, const PrepOptions& options,
+    const Tokenizer* tokenizer) {
+  EMX_ASSIGN_OR_RETURN(const Key key,
+                       MakeKey(table, attr, options, tokenizer));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  return std::make_shared<const PreparedColumn>(column, rows, options,
-                                                tokenizer, interner_);
-}
-
-PreparedColumn PrepCache::PrepUncached(const std::vector<Value>& column,
-                                       const PrepOptions& options,
-                                       const Tokenizer* tokenizer) {
-  // Builds under mu_ because the interner is not internally synchronized:
-  // the cache mutex is the one lock every interning path takes.
-  std::lock_guard<std::mutex> lock(mu_);
-  return PreparedColumn(column, options, tokenizer, interner_);
-}
-
-void PrepCache::AppendUncached(PreparedColumn* column, const Value& value,
-                               const PrepOptions& options,
-                               const Tokenizer* tokenizer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  column->Append(value, options, tokenizer, interner_.get());
+  return std::make_shared<const PreparedColumn>(
+      table.column(key.column), rows, options, tokenizer, interner_);
 }
 
 std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
@@ -309,11 +299,6 @@ std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
     out.push_back(interner_->TokenString(static_cast<uint32_t>(id)));
   }
   return out;
-}
-
-void PrepCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
 }
 
 size_t PrepCache::entries() const {

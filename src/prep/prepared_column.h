@@ -8,8 +8,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "src/core/result.h"
+#include "src/table/table.h"
 #include "src/table/value.h"
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
@@ -46,11 +49,12 @@ std::string PrepKey(const PrepOptions& options, const Tokenizer* tokenizer);
 //   - tokenized with token_rows: also the tokens exactly as the tokenizer
 //     emitted them (first-occurrence order — the order the legacy per-pair
 //     path saw, so Monge-Elkan sums in the same order), token_row().
-// Token ids come from the owning PrepCache's interner, so spans from any
-// two columns of the same cache are directly comparable. Each emitted
-// token is a view of the interner's string for its id, with a pointer to
-// the interner's signature for it; the column shares ownership of the
-// interner, so views and pointers stay valid for the column's lifetime.
+// Token ids come from the interner the column is built with (a
+// PrepCache's, or a MatchService's), so spans from any two columns built
+// with one interner are directly comparable. Each emitted token is a view
+// of the interner's string for its id, with a pointer to the interner's
+// signature for it; the column shares ownership of the interner, so views
+// and pointers stay valid for the column's lifetime.
 // A query column (PrepQuery) is the exception: it holds one row prepped
 // read-only, and owns its views' bytes and its signatures itself.
 //
@@ -178,71 +182,50 @@ void SortIds(uint32_t* ids, size_t n);
 
 }  // namespace internal_prep
 
-// Caches PreparedColumns keyed on (column identity, PrepKey), all sharing
-// ONE TokenInterner so id spans from different columns — left vs right
-// table, or columns requested by different blockers/features — intersect
-// directly. This is what collapses the per-(pair × feature) tokenization
-// of the legacy path to one pass per (column, prep config): each record is
-// prepped once no matter how many candidate pairs it appears in. Only
-// whole columns are cached (Get); vectorize binds through GetRows, which
-// reuses a cached whole column or preps just the rows its pairs touch into
-// a column it never caches.
+// Caches PreparedColumns keyed on (table version, column, PrepKey), all
+// sharing ONE TokenInterner so id spans from different columns — left vs
+// right table, or columns requested by different blockers/features —
+// intersect directly. This is what collapses the per-(pair × feature)
+// tokenization of the legacy path to one pass per (column, prep config):
+// each record is prepped once no matter how many candidate pairs it
+// appears in. Only whole columns are cached (Get); vectorize binds through
+// GetRows, which reuses a cached whole column or preps just the rows its
+// pairs touch into a column it never caches.
+//
+// A table's version names its contents (Table::version), so an entry is
+// only ever read for the contents it was prepped from: an edited table, or
+// a new table built where a freed one lived, has a version no entry holds
+// and is prepped afresh. No caller clears the cache. Entries for versions
+// no live table holds stay until the cache dies.
 //
 // Thread-safety: Get() and GetRows() are fully synchronized (builds are
 // serialized under the cache mutex — concurrent blockers requesting
-// columns simply take turns prepping). Returned shared_ptrs stay valid
-// across Clear().
-//
-// Invalidation contract: entries are keyed on the COLUMN'S STORAGE ADDRESS
-// plus its row count, so a cache must not outlive the tables it prepped
-// (EmWorkflow scopes its cache to itself and its tables; checkpoint/resume
-// never persists the cache — prepped state is always rebuilt from live
-// tables, see DESIGN.md §8).
+// columns simply take turns prepping). Returned shared_ptrs outlive the
+// cache: each column shares ownership of the interner its tokens view.
 class PrepCache {
  public:
   PrepCache() = default;
   PrepCache(const PrepCache&) = delete;
   PrepCache& operator=(const PrepCache&) = delete;
 
-  // The prepared form of `column` under (options, tokenizer), built on
-  // first use. `tokenizer` may be null for text-only prep.
-  std::shared_ptr<const PreparedColumn> Get(const std::vector<Value>& column,
-                                            const PrepOptions& options,
-                                            const Tokenizer* tokenizer);
+  // The prepared form of `table`'s column `attr` under (options,
+  // tokenizer), built on first use. `tokenizer` may be null for text-only
+  // prep. NotFound when the table has no such column.
+  Result<std::shared_ptr<const PreparedColumn>> Get(
+      const Table& table, const std::string& attr, const PrepOptions& options,
+      const Tokenizer* tokenizer);
 
-  // The prepared form of `column` for a reader that reads only `rows`
-  // (ascending, unique, each below column.size()). When the cache already
-  // holds the whole column under (options, tokenizer), that is returned.
-  // Otherwise only `rows` are prepped, through this cache's interner, into
-  // a column that is NEVER entered into the cache: a later Get (a
-  // blocker's) can never receive a partial column.
-  std::shared_ptr<const PreparedColumn> GetRows(
-      const std::vector<Value>& column, const std::vector<uint32_t>& rows,
-      const PrepOptions& options, const Tokenizer* tokenizer);
-
-  // Builds a PreparedColumn sharing THIS cache's interner without entering
-  // it into the cache. For a column whose storage address may be reused
-  // by a later, different column, such as a served corpus that grows by
-  // Insert: caching it under an address key would let a recycled address
-  // alias a dead entry, so it is prepped fresh while still interning into
-  // the shared id universe (spans remain directly comparable with every
-  // cached column). A served query record is not prepped here: it goes
-  // through PreparedColumn::PrepQuery against interner(), and interns
-  // nothing.
-  PreparedColumn PrepUncached(const std::vector<Value>& column,
-                              const PrepOptions& options,
-                              const Tokenizer* tokenizer);
-
-  // PreparedColumn::Append through this cache's interner, for a column
-  // built by PrepUncached with the same options and tokenizer.
-  void AppendUncached(PreparedColumn* column, const Value& value,
-                      const PrepOptions& options, const Tokenizer* tokenizer);
-
-  // The cache's interner, for read-only use without the cache mutex. The
-  // caller must ensure nothing interns through this cache while it reads:
-  // MatchService reads it under its shared lock, and interns (Insert)
-  // only under its exclusive one.
-  const TokenInterner& interner() const { return *interner_; }
+  // The prepared form of `table`'s column `attr` for a reader that reads
+  // only `rows` (ascending, unique, each below table.num_rows()). When the
+  // cache already holds the whole column under (options, tokenizer), that
+  // is returned. Otherwise only `rows` are prepped, through this cache's
+  // interner, into a column that is NEVER entered into the cache: a later
+  // Get (a blocker's) can never receive a partial column. NotFound when the
+  // table has no such column.
+  Result<std::shared_ptr<const PreparedColumn>> GetRows(
+      const Table& table, const std::string& attr,
+      const std::vector<uint32_t>& rows, const PrepOptions& options,
+      const Tokenizer* tokenizer);
 
   // Snapshot of id -> token string for every token interned so far. The
   // views point at interner storage, which is append-only and
@@ -251,29 +234,24 @@ class PrepCache {
   // racing a concurrent build.
   std::vector<std::string_view> TokenStringsSnapshot() const;
 
-  // Drops all cache entries (outstanding shared_ptrs stay alive). The
-  // interner and its id assignments are retained. Must not run concurrently
-  // with a Get() consumer that is still pairing up spans.
-  void Clear();
-
   // Introspection for tests/benches.
   size_t entries() const;
   size_t interned_tokens() const;
 
  private:
   struct Key {
-    const void* column;  // column storage address
-    size_t rows;
+    uint64_t version;  // Table::version
+    size_t column;     // column index in the table's schema
     std::string prep;  // PrepKey
 
     friend bool operator<(const Key& a, const Key& b) {
-      if (a.column != b.column) return a.column < b.column;
-      if (a.rows != b.rows) return a.rows < b.rows;
-      return a.prep < b.prep;
+      return std::tie(a.version, a.column, a.prep) <
+             std::tie(b.version, b.column, b.prep);
     }
   };
-  static Key MakeKey(const std::vector<Value>& column,
-                     const PrepOptions& options, const Tokenizer* tokenizer);
+  static Result<Key> MakeKey(const Table& table, const std::string& attr,
+                             const PrepOptions& options,
+                             const Tokenizer* tokenizer);
 
   mutable std::mutex mu_;
   // Shared with every column built here, whose tokens view its strings.

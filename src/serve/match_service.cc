@@ -133,7 +133,6 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
   svc->matcher_ = workflow.matcher();
   svc->features_ = workflow.features();
   svc->imputer_ = workflow.imputer();
-  svc->prep_cache_ = std::make_shared<PrepCache>();
   svc->lat_block_ = std::make_unique<LatencyRing>();
   svc->lat_vectorize_ = std::make_unique<LatencyRing>();
   svc->lat_score_ = std::make_unique<LatencyRing>();
@@ -170,8 +169,8 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
         return static_cast<int>(i);
       }
     }
-    PreparedColumn column = svc->prep_cache_->PrepUncached(
-        svc->corpus_.column(static_cast<size_t>(col)), opts, tok.get());
+    PreparedColumn column(svc->corpus_.column(static_cast<size_t>(col)), opts,
+                          tok.get(), svc->interner_);
     svc->corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
     svc->corpus_preps_.push_back(std::make_unique<CorpusPrep>(CorpusPrep{
         col, opts, std::move(tok), std::move(prep_key), std::move(column)}));
@@ -357,7 +356,7 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   if (scratch.queries.size() < query_specs_.size()) {
     scratch.queries.resize(query_specs_.size());
   }
-  const TokenInterner& interner = prep_cache_->interner();
+  const TokenInterner& interner = *interner_;
   auto prep = [&](int s) -> Status {
     const QuerySpec& spec = *query_specs_[s];
     EMX_ASSIGN_OR_RETURN(const std::vector<Value>* col,
@@ -520,9 +519,8 @@ Result<uint32_t> MatchService::Insert(std::vector<Value> row) {
   // One appended row per prep family — the inserted record is
   // normalized/tokenized exactly once per spec, never the whole column.
   for (auto& cp : corpus_preps_) {
-    prep_cache_->AppendUncached(
-        &cp->column, corpus_.at(record, static_cast<size_t>(cp->col)),
-        cp->opts, cp->tokenizer.get());
+    cp->column.Append(corpus_.at(record, static_cast<size_t>(cp->col)),
+                      cp->opts, cp->tokenizer.get(), interner_.get());
     corpus_prep_builds_.fetch_add(1, std::memory_order_relaxed);
   }
   for (auto& g : index_groups_) {
@@ -571,7 +569,7 @@ MatchServiceStats MatchService::Stats() const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     out.total_records = corpus_.num_rows();
-    out.interned_tokens = prep_cache_->interner().size();
+    out.interned_tokens = interner_->size();
     size_t live = 0;
     for (uint8_t l : live_) live += l;
     out.live_records = live;

@@ -110,10 +110,9 @@ struct MatchServiceStats {
 // options.compact_threshold; probe results are identical at every
 // compaction state (delta_index_property_test fuzzes this invariant).
 //
-// Ownership keeps prep work resident: the service holds its OWN PrepCache
-// (never shared with a PipelineRunner, whose per-run Clear() would drop
-// prepped state mid-service — see DESIGN.md §12) and its own corpus
-// prepared columns, so an unrelated in-process batch run costs the service
+// Ownership keeps prep work resident: the service holds its own corpus
+// prepared columns and the TokenInterner they share (no PrepCache — see
+// DESIGN.md §12), so an unrelated in-process batch run costs the service
 // neither correctness nor re-prep.
 //
 // Lookups are read-only: a lookup preps only the query specs its answer
@@ -209,9 +208,11 @@ class MatchService {
   FeatureSet features_;
   MeanImputer imputer_;
 
-  // The service-owned cache: interner + build lock. Never Cleared. Create
-  // and Insert intern through it; lookups read its interner unlocked.
-  std::shared_ptr<PrepCache> prep_cache_;
+  // The id universe of every resident column. Create and Insert (under the
+  // exclusive lock) intern into it; lookups only read it, under the shared
+  // lock.
+  const std::shared_ptr<TokenInterner> interner_ =
+      std::make_shared<TokenInterner>();
   std::vector<std::unique_ptr<CorpusPrep>> corpus_preps_;
   std::vector<std::unique_ptr<QuerySpec>> query_specs_;
   std::vector<std::unique_ptr<IndexGroup>> index_groups_;

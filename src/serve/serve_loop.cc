@@ -218,6 +218,10 @@ void ServeLoop::WriteResponse(const std::string& line) {
 }
 
 bool ServeLoop::Submit(const std::string& line) {
+  return Admit(line, /*wait=*/false);
+}
+
+bool ServeLoop::Admit(const std::string& line, bool wait) {
   Result<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
     counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
@@ -227,7 +231,11 @@ bool ServeLoop::Submit(const std::string& line) {
   const JsonValue* id = parsed.value().Find("id");
   JsonValue id_copy = id != nullptr ? *id : JsonValue::Null();
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    if (wait) {
+      room_cv_.wait(lock,
+                    [this] { return queue_.size() < options_.queue_capacity; });
+    }
     if (queue_.size() < options_.queue_capacity) {
       queue_.push_back(Request{std::move(id_copy), std::move(parsed).value()});
       counters_.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -265,6 +273,7 @@ void ServeLoop::DrainLoop() {
         queue_.pop_front();
       }
     }
+    room_cv_.notify_all();
     // Apply requests in arrival order: each maximal run of read-only
     // requests runs on the executor (concurrent shared-lock lookups), and
     // every other request runs alone, so a lookup queued after an insert
@@ -302,12 +311,16 @@ void ServeLoop::Stop() {
   started_ = false;
 }
 
-Status ServeLoop::Run(std::istream& in) {
+Status ServeLoop::Run(std::istream& in) { return Read(in, /*wait=*/false); }
+
+Status ServeLoop::Replay(std::istream& in) { return Read(in, /*wait=*/true); }
+
+Status ServeLoop::Read(std::istream& in, bool wait) {
   Start();
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    Submit(line);
+    Admit(line, wait);
   }
   Stop();
   return Status::OK();

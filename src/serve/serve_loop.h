@@ -93,9 +93,17 @@ class ServeLoop {
   // and joins the drain thread. Idempotent.
   void Stop();
 
-  // Convenience transport: Start, Submit each line of `in` until EOF,
-  // Stop. Returns OK (transport-level errors are per-response).
+  // Convenience transport for a live stream: Start, Submit each line of
+  // `in` until EOF, Stop. Returns OK (transport-level errors are
+  // per-response).
   Status Run(std::istream& in);
+
+  // Transport for a recorded request stream (a request file): as Run, but
+  // a line that finds the queue full waits for the drain thread to make
+  // room instead of being shed. Every request is answered, in arrival
+  // order, so a stream without stats requests gives the same output on
+  // every replay.
+  Status Replay(std::istream& in);
 
   const ServeCounters& counters() const { return counters_; }
 
@@ -105,6 +113,11 @@ class ServeLoop {
     JsonValue body;
   };
 
+  // Submit's body; with `wait`, a full queue blocks the caller until the
+  // drain thread pops a batch, so nothing is shed.
+  bool Admit(const std::string& line, bool wait);
+  // Run's and Replay's body: Start, Admit each line of `in`, Stop.
+  Status Read(std::istream& in, bool wait);
   void DrainLoop();
   void WriteResponse(const std::string& line);
 
@@ -118,6 +131,7 @@ class ServeLoop {
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
+  std::condition_variable room_cv_;  // the drain thread popped a batch
   std::deque<Request> queue_;
   bool stopping_ = false;
   bool started_ = false;

@@ -1,5 +1,6 @@
 #include "src/table/table.h"
 
+#include <atomic>
 #include <sstream>
 #include <unordered_set>
 
@@ -8,6 +9,11 @@
 namespace emx {
 
 const Value Table::kNullValue = Value();
+
+uint64_t Table::NextVersion() {
+  static std::atomic<uint64_t> last{0};
+  return ++last;
+}
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_fields());
@@ -23,6 +29,7 @@ Status Table::AppendRow(std::vector<Value> row) {
     columns_[i].push_back(std::move(row[i]));
   }
   ++num_rows_;
+  version_ = NextVersion();
   return Status::OK();
 }
 
@@ -36,6 +43,7 @@ void Table::set(size_t row, size_t col, Value v) {
   EMX_CHECK(col < columns_.size() && row < num_rows_)
       << "cell (" << row << "," << col << ") out of bounds";
   columns_[col][row] = std::move(v);
+  version_ = NextVersion();
 }
 
 const Value& Table::at(size_t row, const std::string& col_name) const {
@@ -76,6 +84,7 @@ Status Table::AddColumn(Field field, std::vector<Value> values) {
   }
   EMX_RETURN_IF_ERROR(schema_.AddField(std::move(field)));
   columns_.push_back(std::move(values));
+  version_ = NextVersion();
   return Status::OK();
 }
 
@@ -86,11 +95,14 @@ Status Table::DropColumn(const std::string& name) {
   fields.erase(fields.begin() + col);
   schema_ = Schema(std::move(fields));
   columns_.erase(columns_.begin() + col);
+  version_ = NextVersion();
   return Status::OK();
 }
 
 Status Table::RenameColumn(const std::string& from, const std::string& to) {
-  return schema_.RenameField(from, to);
+  EMX_RETURN_IF_ERROR(schema_.RenameField(from, to));
+  version_ = NextVersion();
+  return Status::OK();
 }
 
 Result<bool> Table::IsUniqueKey(const std::string& name) const {

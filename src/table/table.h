@@ -1,6 +1,7 @@
 #ifndef EMX_TABLE_TABLE_H_
 #define EMX_TABLE_TABLE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,12 @@ namespace emx {
 // Columns are vectors of Value aligned by row index. Column orientation
 // keeps profiling, blocking-attribute scans, and feature extraction cache
 // friendly; rows are materialized on demand.
+//
+// Every table carries a version that identifies its contents: a new table
+// and every successful mutation draw a fresh one from one process-wide
+// counter, and a copy keeps its source's (the contents are equal). So two
+// tables with equal versions hold equal contents, however many tables
+// were freed and built meanwhile; PrepCache keys its entries on it.
 class Table {
  public:
   Table() = default;
@@ -29,6 +36,7 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
+  uint64_t version() const { return version_; }
 
   // Appends a row; `row` must have exactly num_columns() values.
   Status AppendRow(std::vector<Value> row);
@@ -73,9 +81,13 @@ class Table {
   std::string Preview(size_t max_rows = 5) const;
 
  private:
+  // A version no table has held yet.
+  static uint64_t NextVersion();
+
   Schema schema_;
   std::vector<std::vector<Value>> columns_;
   size_t num_rows_ = 0;
+  uint64_t version_ = NextVersion();
 
   static const Value kNullValue;
 };

@@ -138,9 +138,11 @@ WindowScanFn SelectWindowScan() {
   }
 }
 
-// One Jaro score through a pluggable window scan. Identical structure to
-// JaroSimilarity (sequence_similarity.cc); only the inner candidate scan is
-// swapped, and every scan variant returns the same first-eligible index.
+// One Jaro score through a pluggable window scan: the one Jaro body, which
+// JaroSimilarity and JaroWinklerSimilarity call one lane at a time.
+// Identical structure to oracle::JaroSimilarity; only the inner candidate
+// scan is swapped, and every scan variant returns the same first-eligible
+// index.
 double JaroOnePair(std::string_view a, std::string_view b, DpScratch* scratch,
                    WindowScanFn scan) {
   const size_t la = a.size(), lb = b.size();

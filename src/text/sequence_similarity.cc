@@ -1,9 +1,9 @@
 #include "src/text/sequence_similarity.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
+#include "src/text/batch_kernel.h"
 #include "src/text/sequence_kernel.h"
 
 namespace emx {
@@ -19,50 +19,18 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
                    static_cast<double>(mx);
 }
 
+// One-lane calls into the batch kernels, so the Jaro match scan has one
+// body (and one SIMD dispatch) for features, rules and tests alike.
 double JaroSimilarity(std::string_view a, std::string_view b) {
-  const size_t la = a.size(), lb = b.size();
-  if (la == 0 && lb == 0) return 1.0;
-  if (la == 0 || lb == 0) return 0.0;
-  const int window =
-      std::max(0, static_cast<int>(std::max(la, lb)) / 2 - 1);
-  // Match flags as plain bytes from the thread's scratch: no per-call
-  // vector<bool> allocations and no bitset-proxy reads in the hot loops.
-  uint8_t* a_match = DpScratch::Tls().Bytes(la + lb);
-  uint8_t* b_match = a_match + la;
-  std::memset(a_match, 0, la + lb);
-  int matches = 0;
-  for (size_t i = 0; i < la; ++i) {
-    size_t lo = (static_cast<int>(i) > window) ? i - window : 0;
-    size_t hi = std::min(lb, i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (!b_match[j] && a[i] == b[j]) {
-        a_match[i] = 1;
-        b_match[j] = 1;
-        ++matches;
-        break;
-      }
-    }
-  }
-  if (matches == 0) return 0.0;
-  // Count transpositions between matched characters in order.
-  int transpositions = 0;
-  size_t k = 0;
-  for (size_t i = 0; i < la; ++i) {
-    if (!a_match[i]) continue;
-    while (!b_match[k]) ++k;
-    if (a[i] != b[k]) ++transpositions;
-    ++k;
-  }
-  double m = matches;
-  return (m / la + m / lb + (m - transpositions / 2.0) / m) / 3.0;
+  double out;
+  JaroSimilarityBatch(&a, &b, 1, &out);
+  return out;
 }
 
 double JaroWinklerSimilarity(std::string_view a, std::string_view b, double p) {
-  double jaro = JaroSimilarity(a, b);
-  size_t prefix = 0;
-  size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * p * (1.0 - jaro);
+  double out;
+  JaroWinklerSimilarityBatch(&a, &b, 1, &out, p);
+  return out;
 }
 
 double NeedlemanWunschScore(std::string_view a, std::string_view b,

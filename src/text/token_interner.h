@@ -64,8 +64,9 @@ struct TokenRow {
 // Not internally synchronized. The const members (Find, TokenString, size)
 // may run concurrently with each other while nothing interns; Intern and
 // Signature mutate and need exclusive access. PrepCache serializes its
-// interning under its own mutex; MatchService's lookups call only the
-// const members, under the service's shared lock.
+// interning under its own mutex; MatchService interns only under its
+// exclusive lock, and its lookups call only the const members, under its
+// shared lock.
 class TokenInterner {
  public:
   TokenInterner() = default;

@@ -119,12 +119,11 @@ class EmWorkflow {
 
   // The workflow-scoped prep cache: one normalization + tokenization +
   // token-id pass per (column, prep config), shared by every blocker and
-  // the vectorize stage, across Run calls over the same tables. Entries key
-  // on column storage identity, so the cache must not be read against
-  // tables that died (call ClearPrepCache when swapping table generations;
-  // checkpoint/resume never persists it — see DESIGN.md §8).
+  // the vectorize stage, across Run calls over unchanged tables. Entries
+  // key on the table's version, so a Run over an edited or rebuilt table
+  // preps it afresh; checkpoint/resume never persists the cache (see
+  // DESIGN.md §8).
   const std::shared_ptr<PrepCache>& prep_cache() const { return prep_cache_; }
-  void ClearPrepCache() const { prep_cache_->Clear(); }
 
   // A human-readable description of the configured stages — the §12/§13
   // "how to represent the EM workflow effectively" concern: the packaged

@@ -48,13 +48,6 @@ PipelineRunner::PipelineRunner(const EmWorkflow* workflow,
 
 Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
                                               const Table& right) {
-  // Prepared-column state is never checkpointed and never resumed: it keys
-  // on live column storage, and a resumed process (or a runner re-driving a
-  // workflow against re-loaded tables) must not pair fresh columns with
-  // entries prepped from a prior table generation. Dropping it here only
-  // costs one re-prep per column; outstanding readers keep their refs.
-  workflow_->ClearPrepCache();
-
   std::optional<CheckpointStore> store;
   if (!options_.checkpoint_dir.empty()) {
     auto opened = CheckpointStore::Open(options_.checkpoint_dir);

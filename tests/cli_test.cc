@@ -394,5 +394,48 @@ TEST(CliTest, ServeAnswersAeBlockerLikeRun) {
   }
 }
 
+// A request file is replayed, not streamed: one far longer than the
+// default queue (128) has every request answered in file order, with
+// nothing shed, and two runs write the same bytes. Every 50th request is
+// an insert, so later lookups see the grown corpus.
+TEST(CliTest, ServeRequestFileAnswersEveryRequest) {
+  RunFixture f = MakeRunFixture("serve_file");
+  const char* names[][2] = {{"Dave Smith", "Madison"},
+                            {"Joe Wilson", "San Jose"},
+                            {"Dan Smith", "Middleton"}};
+  const size_t n = 600;
+  std::string requests;
+  for (size_t i = 0; i < n; ++i) {
+    requests += "{\"id\": " + std::to_string(i) + ", \"op\": \"" +
+                (i % 50 == 49 ? "insert" : "lookup") +
+                "\", \"record\": {\"RecordId\": " + std::to_string(i % 3) +
+                ", \"Name\": \"" + names[i % 3][0] + "\", \"City\": \"" +
+                names[i % 3][1] + "\"}}\n";
+  }
+  const std::vector<std::string> args = {
+      "serve",          f.left,
+      f.right,          "--method=ae",
+      "--left-attr=City", "--labels=" + f.labels,
+      "--matcher=tree", "--exclude=RecordId",
+      "--requests=" + WriteTemp("serve_file_req.jsonl", requests)};
+  CliResult first = RunEmx(args);
+  CliResult second = RunEmx(args);
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(second.code, 0) << second.err;
+  EXPECT_NE(first.err.find("600 requests answered, 0 shed"),
+            std::string::npos)
+      << first.err;
+  EXPECT_EQ(first.out, second.out);
+  std::istringstream lines(first.out);
+  std::string line;
+  size_t id = 0;
+  for (; std::getline(lines, line); ++id) {
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(id) + ",\"ok\":true", 0),
+              0u)
+        << line;
+  }
+  EXPECT_EQ(id, n);
+}
+
 }  // namespace
 }  // namespace emx

@@ -678,10 +678,10 @@ TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   EXPECT_GT(stats.query_preps, 0u);
 }
 
-// PipelineRunner::Run calls PrepCache::Clear on ITS OWN workflow cache.
-// Because the service owns a private PrepCache and direct segment
-// shared_ptrs, an unrelated batch run in the same process must not change
-// service answers or re-trigger corpus prep.
+// The service preps its corpus into its own resident columns over its own
+// interner and shares no PrepCache with any workflow, so an unrelated
+// batch run in the same process must not change service answers or
+// re-trigger corpus prep.
 TEST(MatchServiceResidencyTest, SurvivesPipelineRunnerClearingCaches) {
   const CaseStudyFixture& fx = CaseStudy();
   auto svc = MatchService::Create(fx.wf, fx.tables.usda);
@@ -690,8 +690,8 @@ TEST(MatchServiceResidencyTest, SurvivesPipelineRunnerClearingCaches) {
   ASSERT_TRUE(before.ok());
   const uint64_t preps_before = (*svc)->Stats().corpus_preps;
 
-  // An independent batch pipeline runs to completion in-process (its
-  // runner Clears its own workflow's cache per run).
+  // An independent batch pipeline runs to completion in-process, prepping
+  // through its own workflow's cache.
   EmWorkflow batch_wf = BuildServableCaseStudyWorkflow(fx.trained);
   PipelineRunner runner(&batch_wf, PipelineOptions{});
   auto run = runner.Run(fx.tables.umetrics, fx.tables.usda);

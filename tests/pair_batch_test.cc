@@ -326,17 +326,21 @@ std::vector<std::vector<double>> ForestProbe(size_t n, uint64_t seed) {
   return rows;
 }
 
-Dataset ForestTrainSet(size_t n_pos, size_t n_neg, uint64_t seed) {
+// Integer features with noisy labels, as ml_test's MakeNoisyGrid: many
+// cells hold rows of both classes, so tree leaves keep fractions like 2/3
+// and a forest's mean depends on the order it sums its trees in — which
+// the flat walk's bit-identity with the tree walk rests on. The features
+// span most of the probe's range.
+Dataset ForestTrainSet(size_t n, uint64_t seed) {
   RandomEngine rng(seed);
   Dataset d;
   d.feature_names = {"x", "y", "z"};
-  for (size_t i = 0; i < n_pos + n_neg; ++i) {
-    bool pos = i < n_pos;
-    double center = pos ? 2.0 : -2.0;
-    d.x.push_back({center + 0.5 * rng.NextGaussian(),
-                   center + 0.5 * rng.NextGaussian(),
-                   0.1 * rng.NextGaussian()});
-    d.y.push_back(pos ? 1 : 0);
+  for (size_t i = 0; i < n; ++i) {
+    double x = std::round(1.5 * rng.NextGaussian());
+    double y = std::round(1.5 * rng.NextGaussian());
+    double z = static_cast<double>(rng.NextBelow(3));
+    d.x.push_back({x, y, z});
+    d.y.push_back(x + y + rng.NextGaussian() > 0 ? 1 : 0);
   }
   return d;
 }
@@ -346,7 +350,7 @@ TEST(FlatForestTest, BitExactVsTreeWalkIncludingNaNRouting) {
   opts.num_trees = 16;
   opts.seed = 99;
   RandomForestMatcher forest(opts);
-  ASSERT_TRUE(forest.Fit(ForestTrainSet(80, 80, 7)).ok());
+  ASSERT_TRUE(forest.Fit(ForestTrainSet(160, 7)).ok());
   EXPECT_FALSE(forest.flat_forest().empty());
   EXPECT_EQ(forest.flat_forest().num_trees(), 16u);
 
@@ -374,15 +378,18 @@ TEST(FlatForestTest, RebuiltAfterDeserialize) {
   opts.num_trees = 8;
   opts.seed = 5;
   RandomForestMatcher forest(opts);
-  ASSERT_TRUE(forest.Fit(ForestTrainSet(40, 40, 3)).ok());
+  ASSERT_TRUE(forest.Fit(ForestTrainSet(80, 3)).ok());
   auto restored = RandomForestMatcher::Deserialize(forest.Serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored->flat_forest().empty());
-  const PairBatch probe = PairBatch::FromRows(ForestProbe(200, 77));
+  // 203 rows: the walk's eight-pair blocks leave a tail.
+  const PairBatch probe = PairBatch::FromRows(ForestProbe(203, 77));
   const std::vector<double> before = forest.PredictProbaBatch(probe);
   const std::vector<double> after = restored->PredictProbaBatch(probe);
+  const std::vector<double> walk = restored->PredictProbaTreeWalk(probe);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_TRUE(BitEq(before[i], after[i])) << "row " << i;
+    EXPECT_TRUE(BitEq(walk[i], after[i])) << "row " << i;
   }
 }
 
@@ -664,10 +671,14 @@ TEST(MongeElkanKernelTest, BoundAndBitParallelJwHoldOnCorpusTokenPairs) {
     PrepCache cache;
     for (const Feature& f : corpus.features.features) {
       FeaturePrep prep = PrepForFeature(f.prep);
-      auto lp = cache.Get(**corpus.left->ColumnByName(f.left_attr),
-                          prep.options, prep.tokenizer.get());
-      auto rp = cache.Get(**corpus.right->ColumnByName(f.right_attr),
-                          prep.options, prep.tokenizer.get());
+      auto lp = cache
+                    .Get(*corpus.left, f.left_attr, prep.options,
+                         prep.tokenizer.get())
+                    .value();
+      auto rp = cache
+                    .Get(*corpus.right, f.right_attr, prep.options,
+                         prep.tokenizer.get())
+                    .value();
       size_t bad = 0, checked = 0;
       for (const RecordPair& p : corpus.pairs) {
         const TokenRow a = lp->token_row(p.left);
@@ -832,13 +843,15 @@ TEST(MongeElkanKernelTest, VisitsTokensByDescendingBound) {
 // column of the cache that holds the token; q-gram columns keep no token
 // rows, so they hold none.
 TEST(MongeElkanKernelTest, WordColumnsShareInternerSignatures) {
-  const std::vector<Value> left = {Value("applied corn ecology")};
-  const std::vector<Value> right = {Value("corn study")};
+  const Table left = *ReadCsvString("Title\napplied corn ecology\n");
+  const Table right = *ReadCsvString("Title\ncorn study\n");
   PrepCache cache;
   FeaturePrep words = PrepForFeature({false, /*tokenize=*/true, 0});
   FeaturePrep grams = PrepForFeature({false, /*tokenize=*/true, 3});
-  auto lp = cache.Get(left, words.options, words.tokenizer.get());
-  auto rp = cache.Get(right, words.options, words.tokenizer.get());
+  auto lp =
+      cache.Get(left, "Title", words.options, words.tokenizer.get()).value();
+  auto rp =
+      cache.Get(right, "Title", words.options, words.tokenizer.get()).value();
   const TokenRow l = lp->token_row(0);
   const TokenRow r = rp->token_row(0);
   ASSERT_EQ(l.size, 3u);
@@ -847,7 +860,8 @@ TEST(MongeElkanKernelTest, WordColumnsShareInternerSignatures) {
   EXPECT_EQ(l.tokens[1], "corn");
   EXPECT_EQ(l.signatures[1], r.signatures[0]);
   EXPECT_EQ(l.signatures[1]->length, 4u);
-  auto gp = cache.Get(left, grams.options, grams.tokenizer.get());
+  auto gp =
+      cache.Get(left, "Title", grams.options, grams.tokenizer.get()).value();
   EXPECT_EQ(gp->token_row(0).size, 0u);
   EXPECT_EQ(gp->token_row(0).signatures, nullptr);
 }

@@ -177,8 +177,8 @@ Prepped PrepTitles(const Table& left, const Table& right) {
   EXPECT_TRUE(lcol.ok() && rcol.ok());
   WhitespaceTokenizer tok;
   PrepOptions opts{/*lowercase=*/true, /*strip_punctuation=*/true};
-  out.left = out.cache->Get(**lcol, opts, &tok);
-  out.right = out.cache->Get(**rcol, opts, &tok);
+  out.left = out.cache->Get(left, "AwardTitle", opts, &tok).value();
+  out.right = out.cache->Get(right, "AwardTitle", opts, &tok).value();
   OverlapBlockerOptions legacy;
   legacy.lowercase = true;
   legacy.strip_punctuation = true;

@@ -400,6 +400,35 @@ TEST(ServeLoopAdmissionTest, RecoversAfterShedding) {
   EXPECT_TRUE(FindById(responses, 4)->Find("ok")->bool_value());
 }
 
+// Replay is for a recorded request stream: with a one-slot queue every
+// line waits for room instead of being shed, so all of them are admitted
+// and answered, in stream order.
+TEST(ServeLoopAdmissionTest, ReplayWaitsForRoomInsteadOfShedding) {
+  const LoopFixture& fx = Fixture();
+  std::string requests;
+  for (int id = 1; id <= 100; ++id) {
+    requests += R"({"id":)" + std::to_string(id) +
+                R"(,"op":"lookup","record":{"Title":"alpha beta gamma delta"}})"
+                "\n";
+  }
+  std::istringstream in(requests);
+  std::ostringstream out;
+  ServeOptions opts;
+  opts.queue_capacity = 1;
+  opts.batch_max = 1;
+  ServeLoop loop(fx.service.get(), opts, &out);
+  ASSERT_TRUE(loop.Replay(in).ok());
+  EXPECT_EQ(loop.counters().admitted.load(), 100u);
+  EXPECT_EQ(loop.counters().shed.load(), 0u);
+  EXPECT_EQ(loop.counters().processed.load(), 100u);
+  auto responses = ParseResponses(out.str());
+  ASSERT_EQ(responses.size(), 100u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].Find("id")->number_value(), i + 1.0);
+    EXPECT_TRUE(responses[i].Find("ok")->bool_value()) << "id " << i + 1;
+  }
+}
+
 // Stop() without traffic, double Stop(), and destruction while started are
 // all clean (the dtor stops an un-stopped loop).
 TEST(ServeLoopAdmissionTest, LifecycleEdgeCases) {

@@ -95,6 +95,13 @@ Table RandomTable(size_t rows, uint32_t seed) {
   return t;
 }
 
+// A one-column table, column "c", holding `values`.
+Table ColumnTable(const std::vector<Value>& values) {
+  Table t(Schema({{"c", DataType::kAny}}));
+  for (const Value& v : values) EXPECT_TRUE(t.AppendRow({v}).ok());
+  return t;
+}
+
 std::vector<std::string> RandomTokens(std::mt19937& rng) {
   auto vocab = Vocab();
   std::uniform_int_distribution<size_t> len(0, 8);
@@ -234,6 +241,7 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
     col.emplace_back(s);
   }
   col.emplace_back(2.5);
+  const Table table = ColumnTable(col);
   const std::vector<PrepOptions> normalizations = {
       PrepOptions{false, false}, PrepOptions{true, false},
       PrepOptions{false, true}, PrepOptions{true, true}};
@@ -243,7 +251,7 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
     SCOPED_TRACE(std::string(opts.lowercase ? "lc" : "") +
                  (opts.strip_punctuation ? " sp" : ""));
     PrepCache cache;
-    auto prep = cache.Get(col, opts, nullptr);
+    auto prep = cache.Get(table, "c", opts, nullptr).value();
     ASSERT_EQ(prep->rows(), col.size());
     for (size_t r = 0; r < col.size(); ++r) {
       EXPECT_EQ(prep->is_null(r), col[r].is_null());
@@ -279,10 +287,10 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
         // same column after it, so both hold the same ids.
         PrepCache cache;
         TokenInterner legacy;
-        auto lean = cache.Get(col, opts, tok.get());
+        auto lean = cache.Get(table, "c", opts, tok.get()).value();
         PrepOptions with_rows = opts;
         with_rows.token_rows = true;
-        auto rows = cache.Get(col, with_rows, tok.get());
+        auto rows = cache.Get(table, "c", with_rows, tok.get()).value();
         OverlapBlockerOptions legacy_opts;
         legacy_opts.lowercase = opts.lowercase;
         legacy_opts.strip_punctuation = opts.strip_punctuation;
@@ -320,10 +328,9 @@ TEST(PreparedColumnTest, MatchesLegacyPrepAndTokenization) {
   }
 }
 
-// A column grown one row at a time through AppendUncached equals the bulk
-// build row for row, under whitespace and q-gram (duplicate ids) prep with
-// token rows, lean q-gram prep and text-only prep, and shares its ids with
-// a cached column of the cache.
+// A column grown one row at a time through Append equals the bulk build
+// row for row, under whitespace and q-gram (duplicate ids) prep with token
+// rows, lean q-gram prep and text-only prep.
 TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
   Table t = RandomTable(200, 12);
   std::vector<Value> col = {Value::Null(), Value(std::string()),
@@ -333,7 +340,7 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
   auto ids_of = [](IdSpan s) {
     return std::vector<uint32_t>(s.begin(), s.end());
   };
-  PrepCache cache;
+  auto interner = std::make_shared<TokenInterner>();
   WhitespaceTokenizer ws;
   QgramTokenizer q3(3);
   struct Config {
@@ -344,18 +351,16 @@ TEST(PreparedColumnTest, AppendedRowsMatchBulkBuild) {
        {Config{{true, true, /*token_rows=*/true}, &ws},
         Config{{false, false, /*token_rows=*/true}, &q3},
         Config{{false, false}, &q3}, Config{{true, false}, nullptr}}) {
-    PreparedColumn bulk = cache.PrepUncached(col, c.opts, c.tokenizer);
-    PreparedColumn grown = cache.PrepUncached({}, c.opts, c.tokenizer);
+    PreparedColumn bulk(col, c.opts, c.tokenizer, interner);
+    PreparedColumn grown(std::vector<Value>(), c.opts, c.tokenizer, interner);
     for (const Value& v : col) {
-      cache.AppendUncached(&grown, v, c.opts, c.tokenizer);
+      grown.Append(v, c.opts, c.tokenizer, interner.get());
     }
-    auto cached = cache.Get(col, c.opts, c.tokenizer);
     ASSERT_EQ(grown.rows(), bulk.rows());
     for (size_t r = 0; r < bulk.rows(); ++r) {
       EXPECT_EQ(grown.is_null(r), bulk.is_null(r)) << "row " << r;
       EXPECT_EQ(grown.text(r), bulk.text(r)) << "row " << r;
       EXPECT_EQ(ids_of(grown.ids(r)), ids_of(bulk.ids(r))) << "row " << r;
-      EXPECT_EQ(ids_of(grown.ids(r)), ids_of(cached->ids(r))) << "row " << r;
       const TokenRow tg = grown.token_row(r);
       const TokenRow tb = bulk.token_row(r);
       EXPECT_EQ(std::vector<std::string>(tg.tokens, tg.tokens + tg.size),
@@ -439,14 +444,17 @@ TEST(PreparedColumnTest, PrepQueryEqualsAppendAndInternsNothing) {
 TEST(PreparedColumnTest, QgramAndBlockerColumnsHaveNoTokenRows) {
   const std::vector<Value> col = {Value("Applied Corn, Ecology"),
                                   Value::Null(), Value("corn")};
+  const Table table = ColumnTable(col);
   PrepCache cache;
   FeaturePrep grams = PrepForFeature({true, /*tokenize=*/true, 3});
   OverlapBlockerOptions blocker;
   WhitespaceTokenizer ws;
-  auto qgram = cache.Get(col, grams.options, grams.tokenizer.get());
+  auto qgram =
+      cache.Get(table, "c", grams.options, grams.tokenizer.get()).value();
   auto blocked =
-      cache.Get(col, internal_block::ToPrepOptions(blocker), &ws);
-  auto text = cache.Get(col, {}, nullptr);
+      cache.Get(table, "c", internal_block::ToPrepOptions(blocker), &ws)
+          .value();
+  auto text = cache.Get(table, "c", {}, nullptr).value();
   for (const auto& c : {qgram, blocked, text}) {
     ASSERT_EQ(c->rows(), col.size());
     for (size_t r = 0; r < col.size(); ++r) {
@@ -516,24 +524,73 @@ TEST(PreparedColumnTest, SortIdsEqualsStdSort) {
 
 TEST(PrepCacheTest, DeduplicatesByColumnAndConfig) {
   Table t = RandomTable(50, 3);
-  const std::vector<Value>* title = *t.ColumnByName("title");
-  const std::vector<Value>* date = *t.ColumnByName("date");
   PrepCache cache;
   WhitespaceTokenizer ws;
   PrepOptions a{true, true};
   PrepOptions b{true, false};
-  auto p1 = cache.Get(*title, a, &ws);
-  auto p2 = cache.Get(*title, a, &ws);
+  auto p1 = cache.Get(t, "title", a, &ws).value();
+  auto p2 = cache.Get(t, "title", a, &ws).value();
   EXPECT_EQ(p1.get(), p2.get());  // cache hit: same object
   EXPECT_EQ(cache.entries(), 1u);
-  cache.Get(*title, b, &ws);        // different normalization
-  cache.Get(*title, a, nullptr);    // text-only prep
-  cache.Get(*date, a, &ws);         // different column
+  EXPECT_TRUE(cache.Get(t, "title", b, &ws).ok());  // other normalization
+  EXPECT_TRUE(cache.Get(t, "title", a, nullptr).ok());  // text-only prep
+  EXPECT_TRUE(cache.Get(t, "date", a, &ws).ok());       // other column
   EXPECT_EQ(cache.entries(), 4u);
-  // Clear drops entries but outstanding references stay readable.
-  cache.Clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(p1->rows(), title->size());
+  EXPECT_EQ(p1->rows(), t.num_rows());
+  // A missing column is NotFound, for whole columns and touched rows alike.
+  EXPECT_EQ(cache.Get(t, "nope", a, &ws).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache.GetRows(t, "nope", {0}, a, &ws).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cache.entries(), 4u);
+}
+
+// An entry is read only for the contents it was prepped from: editing a
+// cell, appending a row or dropping a column gives the table a version no
+// entry holds, so the next Get preps it afresh; a copy shares its source's
+// entries until either side changes.
+TEST(PrepCacheTest, KeysOnTableVersion) {
+  Table t = ColumnTable({Value("alpha beta"), Value("gamma")});
+  PrepCache cache;
+  WhitespaceTokenizer ws;
+  auto first = cache.Get(t, "c", {}, &ws).value();
+  const Table copy = t;
+  EXPECT_EQ(copy.version(), t.version());
+  EXPECT_EQ(cache.Get(copy, "c", {}, &ws).value().get(), first.get());
+
+  t.set(1, 0, Value("alpha"));
+  EXPECT_NE(t.version(), copy.version());
+  auto edited = cache.Get(t, "c", {}, &ws).value();
+  EXPECT_NE(edited.get(), first.get());
+  ASSERT_EQ(edited->ids(1).size, 1u);
+  EXPECT_EQ(edited->ids(1).data[0], edited->ids(0).data[0]);  // "alpha"
+  EXPECT_EQ(cache.Get(copy, "c", {}, &ws).value().get(), first.get());
+
+  ASSERT_TRUE(t.AppendRow({Value("delta")}).ok());
+  auto appended = cache.Get(t, "c", {}, &ws).value();
+  EXPECT_EQ(appended->rows(), 3u);
+  // Touched-row prep of a table the cache holds under an older version
+  // preps the listed rows and enters nothing.
+  ASSERT_TRUE(t.AppendRow({Value("epsilon")}).ok());
+  auto rows = cache.GetRows(t, "c", {3}, {}, &ws).value();
+  EXPECT_EQ(rows->rows(), 4u);
+  EXPECT_EQ(rows->ids(3).size, 1u);
+  EXPECT_EQ(cache.entries(), 3u);
+
+  const uint64_t before = t.version();
+  ASSERT_TRUE(t.AddColumn({"d", DataType::kAny}).ok());
+  EXPECT_NE(t.version(), before);
+  const uint64_t added = t.version();
+  ASSERT_TRUE(t.RenameColumn("d", "e").ok());
+  EXPECT_NE(t.version(), added);
+  const uint64_t renamed = t.version();
+  ASSERT_TRUE(t.DropColumn("e").ok());
+  EXPECT_NE(t.version(), renamed);
+  // A failed mutation changes nothing, so it keeps the version.
+  const uint64_t dropped = t.version();
+  EXPECT_FALSE(t.AppendRow({Value("x"), Value("y")}).ok());
+  EXPECT_FALSE(t.DropColumn("e").ok());
+  EXPECT_EQ(t.version(), dropped);
 }
 
 // PrepKey tells apart every option and every tokenizer identity, and the
@@ -559,13 +616,13 @@ TEST(PrepCacheTest, KeysOnPrepKey) {
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
 
-  const std::vector<Value> col = {Value("alpha beta")};
+  const Table table = ColumnTable({Value("alpha beta")});
   WhitespaceTokenizer other;
   const PrepOptions opts{true, false, /*token_rows=*/true};
   EXPECT_EQ(PrepKey(opts, &ws), PrepKey(opts, &other));
   PrepCache cache;
-  auto a = cache.Get(col, opts, &ws);
-  auto b = cache.Get(col, opts, &other);
+  auto a = cache.Get(table, "c", opts, &ws).value();
+  auto b = cache.Get(table, "c", opts, &other).value();
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.entries(), 1u);
 }
@@ -573,12 +630,12 @@ TEST(PrepCacheTest, KeysOnPrepKey) {
 // A padded and an unpadded q-gram tokenizer emit different tokens, so they
 // must not share a cache entry.
 TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
-  std::vector<Value> col = {Value("abcd")};
+  const Table table = ColumnTable({Value("abcd")});
   PrepCache cache;
   QgramTokenizer padded(3);
   QgramTokenizer unpadded(3, /*pad=*/false);
-  auto p = cache.Get(col, {}, &padded);
-  auto u = cache.Get(col, {}, &unpadded);
+  auto p = cache.Get(table, "c", {}, &padded).value();
+  auto u = cache.Get(table, "c", {}, &unpadded).value();
   EXPECT_NE(p.get(), u.get());
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(p->ids(0).size, 6u);
@@ -594,18 +651,18 @@ TEST(PrepCacheTest, PaddedAndUnpaddedQgramsAreDistinctEntries) {
 // Columns keep their cache's interner alive: their token rows view its
 // strings.
 TEST(PrepCacheTest, ColumnOutlivesItsCache) {
-  std::vector<Value> col = {Value("alpha beta alpha"), Value::Null(),
-                            Value("gamma")};
+  const Table table = ColumnTable(
+      {Value("alpha beta alpha"), Value::Null(), Value("gamma")});
   WhitespaceTokenizer ws;
   QgramTokenizer q3(3);
   std::shared_ptr<const PreparedColumn> cached;
-  std::optional<PreparedColumn> uncached;
+  std::shared_ptr<const PreparedColumn> grams;
   {
     PrepCache cache;
     PrepOptions with_rows;
     with_rows.token_rows = true;
-    cached = cache.Get(col, with_rows, &ws);
-    uncached.emplace(cache.PrepUncached(col, with_rows, &q3));
+    cached = cache.Get(table, "c", with_rows, &ws).value();
+    grams = cache.Get(table, "c", with_rows, &q3).value();
   }
   auto tokens_of = [](const PreparedColumn& c, size_t row) {
     const TokenRow t = c.token_row(row);
@@ -614,7 +671,7 @@ TEST(PrepCacheTest, ColumnOutlivesItsCache) {
   EXPECT_EQ(tokens_of(*cached, 0), (std::vector<std::string>{"alpha", "beta"}));
   EXPECT_TRUE(tokens_of(*cached, 1).empty());
   EXPECT_EQ(tokens_of(*cached, 2), (std::vector<std::string>{"gamma"}));
-  EXPECT_EQ(tokens_of(*uncached, 2),
+  EXPECT_EQ(tokens_of(*grams, 2),
             (std::vector<std::string>{"##g", "#ga", "gam", "amm", "mma", "ma$",
                                       "a$$"}));
 }
@@ -634,8 +691,12 @@ TEST(OverlapJoinTest, IdJoinMatchesStringJoinAt128Threads) {
   auto rt = internal_block::TokenizeColumn(*rcol, opts, ws);
 
   PrepCache cache;
-  auto lp = cache.Get(*lcol, internal_block::ToPrepOptions(opts), &ws);
-  auto rp = cache.Get(*rcol, internal_block::ToPrepOptions(opts), &ws);
+  auto lp =
+      cache.Get(left, "title", internal_block::ToPrepOptions(opts), &ws)
+          .value();
+  auto rp =
+      cache.Get(right, "title", internal_block::ToPrepOptions(opts), &ws)
+          .value();
 
   internal_block::OverlapKeepFn keep = [](size_t, size_t, size_t overlap) {
     return overlap >= 1;
@@ -763,6 +824,46 @@ TEST(VectorizeEquivalenceTest, PreparedBitIdenticalToLegacyAt128Threads) {
   }
 }
 
+// A workflow over "title": the overlap (K=2) and overlap-coefficient
+// blockers, and a decision tree over a Jaccard, a Monge-Elkan and a
+// Levenshtein feature.
+EmWorkflow TitleWorkflow() {
+  OverlapBlockerOptions opts;
+  opts.left_attr = "title";
+  opts.right_attr = "title";
+  FeatureSet features;
+  features.features.push_back(MakeJaccardFeature("title", "title", 0, true));
+  features.features.push_back(MakeMongeElkanFeature("title", "title"));
+  features.features.push_back(MakeLevenshteinFeature("title", "title"));
+  Dataset d;
+  d.feature_names = features.names();
+  d.x = {{1.0, 1.0, 1.0}, {0.7, 0.9, 0.8}, {0.2, 0.5, 0.3}, {0.0, 0.1, 0.1}};
+  d.y = {1, 1, 0, 0};
+  auto tree = std::make_shared<DecisionTreeMatcher>();
+  EXPECT_TRUE(tree->Fit(d).ok());
+  FeatureMatrix m;
+  m.feature_names = d.feature_names;
+  m.rows = d.x;
+  MeanImputer imputer;
+  imputer.Fit(m);
+  EmWorkflow wf;
+  wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 2));
+  wf.AddBlocker(std::make_shared<OverlapCoefficientBlocker>(opts, 0.8));
+  wf.SetMatcher(tree, std::move(features), imputer);
+  return wf;
+}
+
+void ExpectSameRun(const WorkflowRunResult& want, const WorkflowRunResult& got,
+                   const std::string& what) {
+  EXPECT_TRUE(got.sure_matches == want.sure_matches) << what;
+  EXPECT_TRUE(got.candidates == want.candidates)
+      << what << ": " << got.candidates.size() << " candidates, want "
+      << want.candidates.size();
+  EXPECT_TRUE(got.ml_predicted == want.ml_predicted) << what;
+  EXPECT_TRUE(got.flipped == want.flipped) << what;
+  EXPECT_TRUE(got.final_matches == want.final_matches) << what;
+}
+
 // A workflow-scoped cache shared by two blockers over the same attribute
 // performs ONE tokenized-column pass per side, and cached vectorization
 // doesn't change workflow output.
@@ -789,9 +890,67 @@ TEST(WorkflowPrepCacheTest, BlockersShareOneTokenizePassPerColumn) {
   auto c = solo_c.Block(left, right);
   ASSERT_TRUE(k.ok() && c.ok());
   EXPECT_TRUE(run->candidates == CandidateSet::Union(*k, *c));
+}
 
-  wf.ClearPrepCache();
-  EXPECT_EQ(wf.prep_cache()->entries(), 0u);
+// A second Run over unchanged tables reads every column it needs from the
+// first Run's entries: it adds no entry, interns no token and decides the
+// same matches.
+TEST(WorkflowPrepCacheTest, SecondRunOverUnchangedTablesPrepsNothing) {
+  Table left = RandomTable(80, 63);
+  Table right = RandomTable(80, 64);
+  EmWorkflow wf = TitleWorkflow();
+  auto first = wf.Run(left, right);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->ml_input.size(), 0u);
+  const size_t entries = wf.prep_cache()->entries();
+  const size_t tokens = wf.prep_cache()->interned_tokens();
+  auto second = wf.Run(left, right);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(wf.prep_cache()->entries(), entries);
+  EXPECT_EQ(wf.prep_cache()->interned_tokens(), tokens);
+  ExpectSameRun(*first, *second, "second run");
+}
+
+// Table::set between two Runs of one workflow: the second Run preps the
+// edited table afresh and decides what a fresh workflow decides.
+TEST(WorkflowPrepCacheTest, TableEditBetweenRunsMatchesFreshWorkflow) {
+  Table left = RandomTable(60, 65);
+  Table right = RandomTable(60, 66);
+  EmWorkflow wf = TitleWorkflow();
+  auto before = wf.Run(left, right);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  // Left rows 0-9 take the titles of right rows 10-19, so their candidates
+  // change.
+  const size_t title = static_cast<size_t>(left.schema().IndexOf("title"));
+  for (size_t r = 0; r < 10; ++r) left.set(r, title, right.at(r + 10, title));
+  auto after = wf.Run(left, right);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto fresh = TitleWorkflow().Run(left, right);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_FALSE(fresh->candidates == before->candidates);
+  ExpectSameRun(*fresh, *after, "after Table::set");
+}
+
+// One workflow over many table generations: each round frees the previous
+// round's tables and builds same-size ones with other contents (often in
+// the freed storage), and the long-lived workflow must decide what a fresh
+// workflow decides in every round.
+TEST(WorkflowPrepCacheTest, RebuiltSameSizeTablesMatchFreshWorkflow) {
+  EmWorkflow wf = TitleWorkflow();
+  size_t changed = 0;
+  CandidateSet last;
+  for (uint32_t round = 0; round < 200; ++round) {
+    auto left = std::make_unique<Table>(RandomTable(40, 1000 + round));
+    auto right = std::make_unique<Table>(RandomTable(40, 5000 + round));
+    auto got = wf.Run(*left, *right);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = TitleWorkflow().Run(*left, *right);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameRun(*want, *got, "round " + std::to_string(round));
+    if (!(want->candidates == last)) ++changed;
+    last = want->candidates;
+  }
+  EXPECT_GT(changed, 150u);  // the rounds really differ
 }
 
 // ---------- vectorize: touched-row prep vs whole-column prep ----------
@@ -812,9 +971,10 @@ void PrefillWholeColumns(const Table& table, const FeatureSet& features,
   for (const Feature& f : features.features) {
     if (!f.has_prep()) continue;
     FeaturePrep prep = PrepForFeature(f.prep);
-    auto column = table.ColumnByName(left_side ? f.left_attr : f.right_attr);
-    ASSERT_TRUE(column.ok());
-    cache->Get(**column, prep.options, prep.tokenizer.get());
+    ASSERT_TRUE(cache
+                    ->Get(table, left_side ? f.left_attr : f.right_attr,
+                          prep.options, prep.tokenizer.get())
+                    .ok());
   }
 }
 
@@ -1059,33 +1219,8 @@ TEST(VectorizeRowSubsetTest, CacheHoldsOnlyOneSidesWholeColumn) {
 TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
   Table left = RandomTable(80, 81);
   Table right = RandomTable(80, 82);
-  OverlapBlockerOptions opts;
-  opts.left_attr = "title";
-  opts.right_attr = "title";
-  FeatureSet features;
-  features.features.push_back(MakeJaccardFeature("title", "title", 0, true));
-  features.features.push_back(MakeMongeElkanFeature("title", "title"));
-  features.features.push_back(MakeLevenshteinFeature("title", "title"));
-  Dataset d;
-  d.feature_names = features.names();
-  d.x = {{1.0, 1.0, 1.0}, {0.7, 0.9, 0.8}, {0.2, 0.5, 0.3}, {0.0, 0.1, 0.1}};
-  d.y = {1, 1, 0, 0};
-  auto tree = std::make_shared<DecisionTreeMatcher>();
-  ASSERT_TRUE(tree->Fit(d).ok());
-  FeatureMatrix m;
-  m.feature_names = d.feature_names;
-  m.rows = d.x;
-  MeanImputer imputer;
-  imputer.Fit(m);
-  auto make_workflow = [&] {
-    EmWorkflow wf;
-    wf.AddBlocker(std::make_shared<OverlapBlocker>(opts, 2));
-    wf.AddBlocker(std::make_shared<OverlapCoefficientBlocker>(opts, 0.8));
-    wf.SetMatcher(tree, features, imputer);
-    return wf;
-  };
-
-  EmWorkflow wf = make_workflow();
+  EmWorkflow wf = TitleWorkflow();
+  const FeatureSet& features = wf.features();
   auto run = wf.Run(left, right);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_GT(run->ml_input.size(), 0u);
@@ -1093,13 +1228,14 @@ TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
 
   // The Jaccard feature's word-token family (with token rows) and the
   // Levenshtein feature's text family.
-  const std::vector<Value>& title = **left.ColumnByName("title");
   for (size_t f : {size_t{0}, size_t{2}}) {
     FeaturePrep prep = PrepForFeature(features.features[f].prep);
-    auto got =
-        wf.prep_cache()->Get(title, prep.options, prep.tokenizer.get());
+    auto got = wf.prep_cache()
+                   ->Get(left, "title", prep.options, prep.tokenizer.get())
+                   .value();
     PrepCache fresh;
-    auto want = fresh.Get(title, prep.options, prep.tokenizer.get());
+    auto want =
+        fresh.Get(left, "title", prep.options, prep.tokenizer.get()).value();
     ASSERT_EQ(got->rows(), want->rows());
     for (size_t r = 0; r < want->rows(); ++r) {
       EXPECT_EQ(got->is_null(r), want->is_null(r)) << "row " << r;
@@ -1115,7 +1251,7 @@ TEST(VectorizeRowSubsetTest, WorkflowCacheHoldsOnlyBlockerColumns) {
   }
   EXPECT_EQ(wf.prep_cache()->entries(), 4u);
 
-  EmWorkflow warm = make_workflow();
+  EmWorkflow warm = TitleWorkflow();
   PrefillWholeColumns(left, features, /*left_side=*/true,
                       warm.prep_cache().get());
   PrefillWholeColumns(right, features, /*left_side=*/false,
