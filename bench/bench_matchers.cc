@@ -26,6 +26,7 @@
 #include <functional>
 #include <thread>
 
+#include "bench/smoke_gate.h"
 #include "src/core/executor.h"
 #include "src/core/random.h"
 #include "src/datagen/case_study.h"
@@ -235,24 +236,6 @@ int RunForest() {
   return WriteForestJson(m);
 }
 
-// Extracts "key": <number> from a JSON file with a text scan (no JSON dep).
-bool ReadJsonNumber(const char* path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path, "r");
-  if (!f) return false;
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::string needle = std::string("\"") + key + "\"";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + 1, nullptr);
-  return true;
-}
-
 // Small deterministic fixture for CI: Gaussian blobs wide enough that the
 // forest grows real depth, and a probe set large enough to time — no
 // case-study generation, so the smoke run stays fast.
@@ -275,11 +258,8 @@ Dataset SmokeTrainSet(size_t n_pos, size_t n_neg, uint64_t seed) {
 
 int RunSmoke(const char* baseline_path) {
   double baseline = 0;
-  if (!ReadJsonNumber(baseline_path, "speedup_flat_vs_treewalk", &baseline) ||
-      baseline <= 0) {
-    std::fprintf(stderr,
-                 "smoke: cannot read speedup_flat_vs_treewalk from %s\n",
-                 baseline_path);
+  if (!bench::ReadBaseline(baseline_path, "speedup_flat_vs_treewalk",
+                           &baseline)) {
     return 1;
   }
 
@@ -296,18 +276,8 @@ int RunSmoke(const char* baseline_path) {
   double measured = m.speedup();
   std::printf("smoke: measured flat speedup %.2fx, baseline %.2fx\n", measured,
               baseline);
-  // The gate is a RATIO of two same-host measurements, so it transfers
-  // across hardware: flat inference losing >2x of its advantage over the
-  // retained pointer walk (vs what the baseline recorded) fails the build.
-  if (measured < baseline / 2.0) {
-    std::fprintf(stderr,
-                 "smoke: FAIL — flat-vs-treewalk speedup %.2fx fell below "
-                 "half the baseline %.2fx (flat inference regressed >2x)\n",
-                 measured, baseline);
-    return 1;
-  }
-  std::printf("smoke: OK\n");
-  return 0;
+  return bench::SmokeGate(measured, baseline, "flat-vs-treewalk speedup",
+                          "flat inference regressed >2x");
 }
 
 }  // namespace

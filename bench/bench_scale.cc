@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/smoke_gate.h"
 #include "src/block/overlap_blocker.h"
 #include "src/block/partitioned_blocker.h"
 #include "src/core/executor.h"
@@ -233,31 +234,10 @@ int RunFull(const std::vector<double>& sfs) {
 
 // --- smoke mode ------------------------------------------------------------
 
-// Extracts "key": <number> from a JSON file with a text scan (no JSON dep).
-bool ReadJsonNumber(const char* path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path, "r");
-  if (!f) return false;
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::string needle = std::string("\"") + key + "\"";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + 1, nullptr);
-  return true;
-}
-
 int RunSmoke(const char* baseline_path) {
   double baseline = 0;
-  if (!ReadJsonNumber(baseline_path, "partitioned_vs_monolithic", &baseline) ||
-      baseline <= 0) {
-    std::fprintf(stderr,
-                 "smoke: cannot read partitioned_vs_monolithic from %s\n",
-                 baseline_path);
+  if (!bench::ReadBaseline(baseline_path, "partitioned_vs_monolithic",
+                           &baseline)) {
     return 1;
   }
 
@@ -322,19 +302,8 @@ int RunSmoke(const char* baseline_path) {
       part_ms);
   std::printf("smoke: measured partitioned_vs_monolithic %.2fx, baseline %.2fx\n",
               measured, baseline);
-  // The gate is a RATIO of two same-host measurements, so it transfers
-  // across hardware: the partitioned engine's overhead growing >2x relative
-  // to the monolithic join (vs what the baseline recorded) fails the build.
-  if (measured < baseline / 2.0) {
-    std::fprintf(stderr,
-                 "smoke: FAIL — partitioned/monolithic ratio %.2fx fell "
-                 "below half the baseline %.2fx (partitioned engine "
-                 "regressed >2x)\n",
-                 measured, baseline);
-    return 1;
-  }
-  std::printf("smoke: OK\n");
-  return 0;
+  return bench::SmokeGate(measured, baseline, "partitioned/monolithic ratio",
+                          "partitioned engine regressed >2x");
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/smoke_gate.h"
 #include "src/block/overlap_blocker.h"
 #include "src/core/executor.h"
 #include "src/datagen/scale_corpus.h"
@@ -304,29 +305,9 @@ int RunFull(double sf) {
 
 // --- smoke mode ------------------------------------------------------------
 
-bool ReadJsonNumber(const char* path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path, "r");
-  if (!f) return false;
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::string needle = std::string("\"") + key + "\"";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + 1, nullptr);
-  return true;
-}
-
 int RunSmoke(const char* baseline_path) {
   double baseline = 0;
-  if (!ReadJsonNumber(baseline_path, "service_vs_batch", &baseline) ||
-      baseline <= 0) {
-    std::fprintf(stderr, "smoke: cannot read service_vs_batch from %s\n",
-                 baseline_path);
+  if (!bench::ReadBaseline(baseline_path, "service_vs_batch", &baseline)) {
     return 1;
   }
   // Tiny corpus, EVERY record oracle-checked: the smoke gate is first a
@@ -350,18 +331,8 @@ int RunSmoke(const char* baseline_path) {
                          "(vacuous oracle)\n");
     return 1;
   }
-  // Only a 2x relative regression of the service against the batch
-  // pipeline (vs what the baseline recorded) fails the build — absolute
-  // wall times vary too much across CI hosts to gate on.
-  if (measured < baseline / 2.0) {
-    std::fprintf(stderr,
-                 "smoke: FAIL — service_vs_batch %.3fx fell below half the "
-                 "baseline %.3fx (lookup path regressed)\n",
-                 measured, baseline);
-    return 1;
-  }
-  std::printf("smoke: OK\n");
-  return 0;
+  return bench::SmokeGate(measured, baseline, "service_vs_batch",
+                          "lookup path regressed");
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/smoke_gate.h"
 #include "src/core/random.h"
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
@@ -364,24 +365,6 @@ int RunSeq() {
   return 0;
 }
 
-// Extracts "key": <number> from a JSON file with a text scan (no JSON dep).
-bool ReadJsonNumber(const char* path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path, "r");
-  if (!f) return false;
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::string needle = std::string("\"") + key + "\"";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + 1, nullptr);
-  return true;
-}
-
 // Small deterministic fixture for CI: title-like strings 20–70 chars over a
 // reused vocabulary, half near-duplicates — the regime the Levenshtein
 // kernel exists for.
@@ -421,12 +404,8 @@ PairCorpus SmokeCorpus(size_t n) {
 
 int RunSmoke(const char* baseline_path) {
   double baseline = 0;
-  if (!ReadJsonNumber(baseline_path, "speedup_kernel_vs_scalar_lev",
-                      &baseline) ||
-      baseline <= 0) {
-    std::fprintf(stderr,
-                 "smoke: cannot read speedup_kernel_vs_scalar_lev from %s\n",
-                 baseline_path);
+  if (!bench::ReadBaseline(baseline_path, "speedup_kernel_vs_scalar_lev",
+                           &baseline)) {
     return 1;
   }
 
@@ -444,21 +423,12 @@ int RunSmoke(const char* baseline_path) {
   }
   std::printf("smoke: measured lev speedup %.2fx, baseline %.2fx\n", measured,
               baseline);
-  // The gate is a RATIO of two same-host measurements, so it transfers
-  // across hardware: the bit-parallel kernel losing >2x of its advantage
-  // over the retained scalar oracle (vs what the baseline recorded) fails
-  // the build. The DP-parity measures (NW/SW/affine) are reported but not
-  // gated — their kernel is the same O(mn) recurrence, so their ratio sits
-  // near 1x inside scheduler noise.
-  if (measured < baseline / 2.0) {
-    std::fprintf(stderr,
-                 "smoke: FAIL — kernel-vs-scalar Levenshtein speedup %.2fx "
-                 "fell below half the baseline %.2fx (kernel regressed >2x)\n",
-                 measured, baseline);
-    return 1;
-  }
-  std::printf("smoke: OK\n");
-  return 0;
+  // Only Levenshtein is gated. The DP-parity measures (NW/SW/affine) are
+  // reported but not gated: their kernel is the same O(mn) recurrence, so
+  // their ratio sits near 1x inside scheduler noise.
+  return bench::SmokeGate(measured, baseline,
+                          "kernel-vs-scalar Levenshtein speedup",
+                          "kernel regressed >2x");
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/smoke_gate.h"
 #include "src/core/executor.h"
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
@@ -249,30 +250,10 @@ Table SmokeTable(size_t rows, uint32_t seed) {
   return t;
 }
 
-// Extracts "key": <number> from a JSON file with a text scan (no JSON dep).
-bool ReadJsonNumber(const char* path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path, "r");
-  if (!f) return false;
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  std::string needle = std::string("\"") + key + "\"";
-  size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + pos + 1, nullptr);
-  return true;
-}
-
 int RunSmoke(const char* baseline_path) {
   double baseline = 0;
-  if (!ReadJsonNumber(baseline_path, "speedup_prepared_vs_legacy", &baseline) ||
-      baseline <= 0) {
-    std::fprintf(stderr, "smoke: cannot read speedup_prepared_vs_legacy from %s\n",
-                 baseline_path);
+  if (!bench::ReadBaseline(baseline_path, "speedup_prepared_vs_legacy",
+                           &baseline)) {
     return 1;
   }
 
@@ -301,18 +282,8 @@ int RunSmoke(const char* baseline_path) {
       m.batch_ms, m.batch_speedup(), m.cold_ms);
   std::printf("smoke: measured speedup %.2fx, baseline %.2fx\n", measured,
               baseline);
-  // The gate is a RATIO of two same-host measurements, so it transfers
-  // across hardware: prepared vectorize regressing >2x relative to legacy
-  // (vs what the baseline recorded) fails the build.
-  if (measured < baseline / 2.0) {
-    std::fprintf(stderr,
-                 "smoke: FAIL — prepared-vs-legacy speedup %.2fx fell below "
-                 "half the baseline %.2fx (vectorize regressed >2x)\n",
-                 measured, baseline);
-    return 1;
-  }
-  std::printf("smoke: OK\n");
-  return 0;
+  return bench::SmokeGate(measured, baseline, "prepared-vs-legacy speedup",
+                          "vectorize regressed >2x");
 }
 
 }  // namespace

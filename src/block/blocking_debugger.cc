@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <queue>
 
-#include "src/core/strings.h"
-#include "src/text/sequence_similarity.h"
+#include "src/prep/prepared_column.h"
 #include "src/text/set_similarity.h"
 #include "src/text/tokenizer.h"
 
@@ -12,36 +11,34 @@ namespace emx {
 
 namespace {
 
-struct RecordFeatures {
-  std::string raw;
-  std::vector<std::string> words;
-  std::vector<std::string> qgrams;
+// One attribute of one side, prepped once: word and padded 3-gram id spans
+// for the two Jaccards, and the normalized text for Jaro-Winkler.
+struct DebugColumns {
+  std::shared_ptr<const PreparedColumn> words;
+  std::shared_ptr<const PreparedColumn> qgrams;
+  std::shared_ptr<const PreparedColumn> text;
 };
 
-std::vector<RecordFeatures> Precompute(const std::vector<Value>& col,
-                                       bool lowercase) {
+Result<DebugColumns> PrepDebugColumns(PrepCache& cache, const Table& table,
+                                      const std::string& attr,
+                                      const PrepOptions& options) {
   WhitespaceTokenizer ws;
   QgramTokenizer qg(3);
-  std::vector<RecordFeatures> out;
-  out.reserve(col.size());
-  for (const Value& v : col) {
-    RecordFeatures f;
-    if (!v.is_null()) {
-      f.raw = v.AsString();
-      if (lowercase) f.raw = AsciiToLower(f.raw);
-      f.words = ws.Tokenize(f.raw);
-      f.qgrams = qg.Tokenize(f.raw);
-    }
-    out.push_back(std::move(f));
-  }
+  DebugColumns out;
+  EMX_ASSIGN_OR_RETURN(out.words, cache.Get(table, attr, options, &ws));
+  EMX_ASSIGN_OR_RETURN(out.qgrams, cache.Get(table, attr, options, &qg));
+  EMX_ASSIGN_OR_RETURN(out.text, cache.Get(table, attr, options, nullptr));
   return out;
 }
 
-double ScorePair(const RecordFeatures& a, const RecordFeatures& b) {
-  if (a.raw.empty() || b.raw.empty()) return 0.0;
-  double s = JaccardSimilarity(a.words, b.words) +
-             JaccardSimilarity(a.qgrams, b.qgrams) +
-             JaroWinklerSimilarity(a.raw, b.raw);
+double ScorePair(const DebugColumns& a, uint32_t l, const DebugColumns& b,
+                 uint32_t r) {
+  std::string_view ta = a.text->text(l);
+  std::string_view tb = b.text->text(r);
+  if (ta.empty() || tb.empty()) return 0.0;
+  double s = JaccardSimilarity(a.words->ids(l), b.words->ids(r)) +
+             JaccardSimilarity(a.qgrams->ids(l), b.qgrams->ids(r)) +
+             TokenJaroWinkler(ta, tb);
   return s / 3.0;
 }
 
@@ -53,13 +50,17 @@ Result<std::vector<DebuggerFinding>> DebugBlocking(
   if (options.attrs.empty()) {
     return Status::InvalidArgument("DebugBlocking: no attributes configured");
   }
-  std::vector<std::vector<RecordFeatures>> lfeat, rfeat;
+  // One cache, so both sides' spans share one interner.
+  PrepCache cache;
+  const PrepOptions prep{options.lowercase};
+  std::vector<DebugColumns> lcols, rcols;
   for (const auto& [la, ra] : options.attrs) {
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* lcol, left.ColumnByName(la));
-    EMX_ASSIGN_OR_RETURN(const std::vector<Value>* rcol,
-                         right.ColumnByName(ra));
-    lfeat.push_back(Precompute(*lcol, options.lowercase));
-    rfeat.push_back(Precompute(*rcol, options.lowercase));
+    EMX_ASSIGN_OR_RETURN(DebugColumns lc,
+                         PrepDebugColumns(cache, left, la, prep));
+    EMX_ASSIGN_OR_RETURN(DebugColumns rc,
+                         PrepDebugColumns(cache, right, ra, prep));
+    lcols.push_back(std::move(lc));
+    rcols.push_back(std::move(rc));
   }
 
   // Min-heap of the best `top_k` findings seen so far.
@@ -75,10 +76,10 @@ Result<std::vector<DebuggerFinding>> DebugBlocking(
       RecordPair p{l, r};
       if (candidates.Contains(p)) continue;
       double sum = 0.0;
-      for (size_t a = 0; a < lfeat.size(); ++a) {
-        sum += ScorePair(lfeat[a][l], rfeat[a][r]);
+      for (size_t a = 0; a < lcols.size(); ++a) {
+        sum += ScorePair(lcols[a], l, rcols[a], r);
       }
-      double score = sum / static_cast<double>(lfeat.size());
+      double score = sum / static_cast<double>(lcols.size());
       if (heap.size() < options.top_k) {
         heap.push({p, score});
       } else if (score > heap.top().score) {

@@ -30,8 +30,12 @@ struct BlockingDebuggerOptions {
 // configured attributes), and returns the `top_k` most match-like. If the
 // user sees no true matches among them, blocking likely killed few matches.
 //
-// Token sets are precomputed per record, so the scan is O(|A|·|B|) cheap
-// comparisons rather than O(|A|·|B|) string re-tokenizations.
+// Each attribute is prepped once per side through one PrepCache (word and
+// padded 3-gram id spans, and the normalized text), so the scan is
+// O(|A|·|B|) allocation-free span merges and bit-parallel Jaro-Winkler
+// calls (TokenJaroWinkler). Both Jaccard forms share one formula, and
+// TokenJaroWinkler equals JaroWinklerSimilarity, so every score equals the
+// string forms' bit for bit.
 Result<std::vector<DebuggerFinding>> DebugBlocking(
     const Table& left, const Table& right, const CandidateSet& candidates,
     const BlockingDebuggerOptions& options);

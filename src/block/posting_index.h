@@ -14,8 +14,8 @@ namespace emx {
 // [row_begin, row_end): postings(id) lists the LOCAL offsets
 // (row - row_begin) of the rows holding id, ascending, once per
 // occurrence. It is the one index under token blocking: each partition of
-// the overlap join, each partition of the Jaccard join's prefix index, and
-// the serving index's snapshot.
+// the partitioned join (over the overlap blockers' token spans or the
+// Jaccard join's prefixes), and the serving index's snapshot.
 //
 // Offsets are 64-bit: at 1M x 1M a hot-token corpus can exceed 4B
 // postings in the unbounded single-partition layout, and the cumulative

@@ -1,14 +1,9 @@
 #include "src/block/similarity_join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/block/partitioned_blocker.h"
-#include "src/block/posting_index.h"
-#include "src/core/logging.h"
 #include "src/core/strings.h"
 #include "src/text/set_similarity.h"
 
@@ -80,85 +75,35 @@ Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
         std::ceil(threshold_ * static_cast<double>(s)));
     return s - need + 1;
   };
+  auto prefixes = [&](const std::vector<std::vector<uint32_t>>& rows) {
+    return [&rows, &prefix_len](size_t i) {
+      return IdSpan{rows[i].data(),
+                    static_cast<uint32_t>(prefix_len(rows[i].size()))};
+    };
+  };
 
-  // Partition the right side so one partition's prefix index plus the
-  // per-chunk seen/touched scratch stays inside the options' memory budget
-  // (0 = one partition, the monolithic layout). Membership of a pair
-  // depends only on its two records, so the candidate set AND the verified
-  // count are bit-identical at every budget and thread count.
-  size_t num_right = rp->rows();
-  size_t prefix_postings = 0;
-  for (size_t r = 0; r < rt.size(); ++r) prefix_postings += prefix_len(rt[r].size());
+  // The partitioned join indexes and probes the prefixes, so a pair is
+  // touched when its prefixes share a token; each touched pair passes the
+  // size filter and is then verified exactly with the allocation-free
+  // merge kernel over the id-sorted spans. A left row is probed on one
+  // thread at a time, so its verify count needs no atomic, and the total is
+  // the same at every budget and thread count.
+  std::vector<uint32_t> verified(lt.size(), 0);
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
-  internal_block::PartitionPlan plan = internal_block::PlanPartitions(
-      num_right, prefix_postings, token_strings.size(), budget);
-
-  std::atomic<size_t> verified{0};
-  const bool loud = lt.size() >= 100000 || num_right >= 100000;
-  std::vector<RecordPair> out;
-  for (size_t part = 0; part < plan.num_partitions; ++part) {
-    size_t part_lo = part * plan.rows_per_partition;
-    size_t part_hi = std::min(num_right, part_lo + plan.rows_per_partition);
-    size_t part_rows = part_hi - part_lo;
-    // Prefix index over this partition (LOCAL postings in r order).
-    PostingIndex index(part_lo, part_hi, [&](size_t r) {
-      return IdSpan{rt[r].data(),
-                    static_cast<uint32_t>(prefix_len(rt[r].size()))};
-    });
-
-    // Probe with left prefixes in parallel chunks; verify candidates
-    // exactly with the allocation-free merge kernel over the id-sorted
-    // spans. The per-left-record `seen` hash set becomes a dense stamp
-    // array (partition-sized) with a touched-list reset. Each chunk counts
-    // its own verifications; the per-chunk counts sum into `stats` after
-    // the merge, so the total is thread-count independent.
-    std::vector<RecordPair> pairs = ctx.get().ParallelFlatMap(
-        lt.size(), /*grain=*/0,
-        [&](size_t lo, size_t hi) {
-          std::vector<RecordPair> chunk;
-          std::vector<uint8_t> seen(part_rows, 0);
-          std::vector<uint32_t> touched;
-          size_t chunk_verified = 0;
-          for (size_t l = lo; l < hi; ++l) {
-            size_t p = prefix_len(lt[l].size());
-            for (size_t i = 0; i < p; ++i) {
-              for (uint32_t local : index.postings(lt[l][i])) {
-                if (seen[local]) continue;
-                seen[local] = 1;
-                touched.push_back(local);
-                uint32_t r = static_cast<uint32_t>(part_lo + local);
-                // Size filter: |x|·t <= |y| <= |x|/t is necessary for
-                // jaccard >= t.
-                double ls = static_cast<double>(lt[l].size());
-                double rs = static_cast<double>(rt[r].size());
-                if (rs < ls * threshold_ || rs > ls / threshold_) continue;
-                ++chunk_verified;
-                if (JaccardSimilarity(lp->ids(l), rp->ids(r)) >= threshold_) {
-                  chunk.push_back({static_cast<uint32_t>(l), r});
-                }
-              }
-            }
-            for (uint32_t local : touched) seen[local] = 0;
-            touched.clear();
-          }
-          verified.fetch_add(chunk_verified, std::memory_order_relaxed);
-          return chunk;
-        });
-    out.insert(out.end(), pairs.begin(), pairs.end());
-    if (plan.num_partitions > 1) {
-      if (loud) {
-        EMX_LOG(Info) << "jaccard_join: partition " << (part + 1) << "/"
-                      << plan.num_partitions << " done (" << out.size()
-                      << " candidates so far)";
-      } else {
-        EMX_LOG(Debug) << "jaccard_join: partition " << (part + 1) << "/"
-                       << plan.num_partitions << " done";
-      }
-    }
-  }
-  stats->verified += verified.load();
-  return CandidateSet(std::move(out));
+  CandidateSet out = internal_block::PartitionedJoin(
+      lt.size(), prefixes(lt), rt.size(), prefixes(rt),
+      [&](uint32_t l, uint32_t r, uint32_t) {
+        // Size filter: |x|·t <= |y| <= |x|/t is necessary for jaccard >= t.
+        double ls = static_cast<double>(lt[l].size());
+        double rs = static_cast<double>(rt[r].size());
+        if (rs < ls * threshold_ || rs > ls / threshold_) return false;
+        ++verified[l];
+        return JaccardSimilarity(lp->ids(l), rp->ids(r)) >= threshold_;
+      },
+      budget, ctx);
+  for (uint32_t v : verified) stats->verified += v;
+  return out;
 }
 
 std::string JaccardJoinBlocker::name() const {

@@ -291,6 +291,14 @@ Result<std::shared_ptr<const PreparedColumn>> PrepCache::GetRows(
       table.column(key.column), rows, options, tokenizer, interner_);
 }
 
+void PrepCache::RetainTables(const Table& left, const Table& right) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(cache_, [&](const auto& entry) {
+    const uint64_t version = entry.first.version;
+    return version != left.version() && version != right.version();
+  });
+}
+
 std::vector<std::string_view> PrepCache::TokenStringsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string_view> out;

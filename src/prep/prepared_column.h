@@ -195,8 +195,9 @@ void SortIds(uint32_t* ids, size_t n);
 // A table's version names its contents (Table::version), so an entry is
 // only ever read for the contents it was prepped from: an edited table, or
 // a new table built where a freed one lived, has a version no entry holds
-// and is prepped afresh. No caller clears the cache. Entries for versions
-// no live table holds stay until the cache dies.
+// and is prepped afresh. No caller clears the cache; a run drops the
+// entries of every other version first (RetainTables), so entries for
+// dead tables do not pile up across runs.
 //
 // Thread-safety: Get() and GetRows() are fully synchronized (builds are
 // serialized under the cache mutex — concurrent blockers requesting
@@ -226,6 +227,12 @@ class PrepCache {
       const Table& table, const std::string& attr,
       const std::vector<uint32_t>& rows, const PrepOptions& options,
       const Tokenizer* tokenizer);
+
+  // Drops every entry whose table version is neither `left`'s nor
+  // `right`'s, i.e. every entry a run over (left, right) cannot read.
+  // Columns already returned stay valid. EmWorkflow::Run and
+  // PipelineRunner::Run call it first.
+  void RetainTables(const Table& left, const Table& right);
 
   // Snapshot of id -> token string for every token interned so far. The
   // views point at interner storage, which is append-only and

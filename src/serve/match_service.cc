@@ -61,21 +61,15 @@ struct MatchService::QuerySpec {
   std::string prep_key;  // PrepKey(opts, tokenizer)
 };
 
-// One blocker's survival predicate over a shared index probe:
-// keep(query_tokens, record_tokens, overlap).
-struct MatchService::BlockPredicate {
-  size_t min_left_tokens = 1;  // probe skipped below this query size
-  internal_block::OverlapKeepFn keep;
-};
-
-// One mutable blocking index plus every predicate that probes it — the
-// paper's overlap + overlap-coefficient pair on the same attribute share
-// one index, exactly as they share one prepped column in the batch path.
+// One token-overlap blocker (as Group merges them) and the mutable blocking
+// index that answers it: the paper's overlap + overlap-coefficient pair on
+// the same attribute share one index, exactly as they share one join in
+// the batch path.
 struct MatchService::IndexGroup {
   int query_spec = -1;
   int corpus_prep = -1;
+  std::shared_ptr<const TokenOverlapBlocker> blocker;
   DeltaTokenIndex index{0};
-  std::vector<BlockPredicate> preds;
 };
 
 struct MatchService::FeatureBinding {
@@ -217,9 +211,11 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
         {rule.key->left, add_key_index(rule.key->right, col)});
   }
 
-  // Blockers → index groups: the token-overlap family probes a delta
-  // index, the AE blocker a key index.
-  for (const std::shared_ptr<Blocker>& b : workflow.blockers()) {
+  // Blockers → indexes, grouped as batch blocking groups them: the AE
+  // blocker probes a key index, a (merged) token-overlap blocker a delta
+  // index.
+  for (const std::shared_ptr<Blocker>& b :
+       TokenOverlapBlocker::Group(workflow.blockers())) {
     if (const auto* ae =
             dynamic_cast<const AttrEquivalenceBlocker*>(b.get())) {
       const EqualityKey& key = ae->key();
@@ -232,7 +228,7 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
       svc->ae_probes_.push_back({key.left, add_key_index(key.right, col)});
       continue;
     }
-    const auto* tb = dynamic_cast<const TokenOverlapBlocker*>(b.get());
+    auto tb = std::dynamic_pointer_cast<TokenOverlapBlocker>(b);
     if (tb == nullptr) {
       return Status::InvalidArgument(
           "MatchService: blocker '" + b->name() +
@@ -241,24 +237,14 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     }
     const OverlapBlockerOptions& bopts = tb->options();
     PrepOptions po = internal_block::ToPrepOptions(bopts);
-    int qs = add_query_spec(bopts.left_attr, po, tb->tokenizer());
+    auto group = std::make_unique<IndexGroup>();
+    group->query_spec = add_query_spec(bopts.left_attr, po, tb->tokenizer());
     EMX_ASSIGN_OR_RETURN(
-        int cp, add_corpus_prep(bopts.right_attr, po, tb->tokenizer()));
-    IndexGroup* group = nullptr;
-    for (auto& g : svc->index_groups_) {
-      if (g->query_spec == qs && g->corpus_prep == cp) {
-        group = g.get();
-        break;
-      }
-    }
-    if (group == nullptr) {
-      auto owned = std::make_unique<IndexGroup>();
-      owned->query_spec = qs;
-      owned->corpus_prep = cp;
-      group = owned.get();
-      svc->index_groups_.push_back(std::move(owned));
-    }
-    group->preds.push_back({tb->min_left_tokens(), tb->keep()});
+        group->corpus_prep,
+        add_corpus_prep(bopts.right_attr, po, tb->tokenizer()));
+    tb->set_prep_cache(nullptr);  // Group's copy; the service has no cache
+    group->blocker = std::move(tb);
+    svc->index_groups_.push_back(std::move(group));
   }
 
   // Features → bindings, prepped as the batch vectorizer preps them.
@@ -373,8 +359,8 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   double rules_us = MicrosSince(t0);
 
   // Stage: block — AE blockers read their key indexes; then prep the
-  // query's blocking specs, probe each token index and replay every token
-  // blocker's keep predicate.
+  // query's blocking specs, probe each token index and keep what its
+  // blocker keeps.
   t0 = Clock::now();
   for (const KeyProbe& ae : ae_probes_) {
     // The batch AE blocker's NotFound for a missing key column.
@@ -384,19 +370,12 @@ Result<LookupResult> MatchService::Lookup(const Table& query,
   for (int s : block_specs_) EMX_RETURN_IF_ERROR(prep(s));
   for (const auto& g : index_groups_) {
     IdSpan qids = scratch.queries[g->query_spec].ids(0);
-    std::vector<const BlockPredicate*> eligible;
-    eligible.reserve(g->preds.size());
-    for (const BlockPredicate& p : g->preds) {
-      if (qids.size >= p.min_left_tokens) eligible.push_back(&p);
-    }
-    if (eligible.empty()) continue;
-    g->index.Probe(qids, &scratch.probe, [&](uint32_t r, uint32_t overlap) {
-      size_t rsize = g->index.record_ids(r).size;
-      for (const BlockPredicate* p : eligible) {
-        if (p->keep(qids.size, rsize, overlap)) {
-          blocked.push_back(r);
-          break;
-        }
+    const TokenOverlapBlocker& blocker = *g->blocker;
+    const DeltaTokenIndex& index = g->index;
+    if (qids.size < blocker.min_left_tokens()) continue;
+    index.Probe(qids, &scratch.probe, [&](uint32_t r, uint32_t overlap) {
+      if (blocker.Keep(qids.size, index.record_ids(r).size, overlap)) {
+        blocked.push_back(r);
       }
     });
   }

@@ -87,7 +87,8 @@ struct MatchServiceStats {
 // it owns a copy of the right-hand corpus table, resident prepared columns
 // for every (attribute, prep spec) the features and blockers read, the
 // trained matcher + imputer + rules, one mutable DeltaTokenIndex per
-// distinct token blocker (attribute, normalization, tokenizer), and one
+// token-overlap blocker as TokenOverlapBlocker::Group merges them (one per
+// prepared column pair, as in batch blocking), and one
 // KeyIndex per corpus key that an AE blocker or a keyed positive rule
 // reads (an AE blocker and a rule keying the same corpus attribute
 // untransformed share one) — built once at Create and NEVER rebuilt from
@@ -95,9 +96,9 @@ struct MatchServiceStats {
 //
 // Lookup(query, row) answers "which corpus records match this record" with
 // results BIT-IDENTICAL to running the batch workflow over (query-table,
-// corpus) and restricting to that query row: same candidate records (the
-// delta index replays each blocker's keep predicate over identical token
-// multisets), same feature doubles (both run EvaluateFeatures), same
+// corpus) and restricting to that query row: same candidate records (each
+// delta index replays its blocker's Keep over identical token multisets),
+// same feature doubles (both run EvaluateFeatures), same
 // probabilities, same rule flips. match_service_test asserts this for
 // every record of the case-study and SF=10 corpora.
 //
@@ -176,8 +177,7 @@ class MatchService {
  private:
   struct CorpusPrep;     // one (attr, prep options, tokenizer) column family
   struct QuerySpec;      // query-side prep descriptor
-  struct BlockPredicate; // one blocker's keep predicate over a shared index
-  struct IndexGroup;     // one delta index + the predicates probing it
+  struct IndexGroup;     // one (merged) token blocker + its delta index
   struct FeatureBinding; // feature → (query spec, corpus prep) wiring
   struct KeyProbe;       // a query-side key over one corpus KeyIndex
   struct LatencyRing;

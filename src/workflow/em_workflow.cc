@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "src/block/overlap_blocker.h"
 #include "src/core/failpoint.h"
 
 namespace emx {
@@ -32,16 +33,20 @@ Result<CandidateSet> EmWorkflow::RunBlocking(
   EMX_FAILPOINT("workflow/block");
   // The candidate set always includes the sure matches (the paper folds M1
   // into blocking so rule-satisfying pairs cannot be lost, §7 step 1). The
+  // token-overlap blockers on one prepared column pair run as one merged
+  // blocker (TokenOverlapBlocker::Group), so they share one join. The
   // blockers are independent of one another, so they fan out across the
   // executor; the union below walks their results in registration order, a
   // deterministic merge into C2. Each blocker also receives the executor
   // for its own internal chunking (nested calls serialize on the worker
   // they land on).
-  std::vector<std::optional<Result<CandidateSet>>> blocked(blockers_.size());
+  const std::vector<std::shared_ptr<Blocker>> blockers =
+      TokenOverlapBlocker::Group(blockers_);
+  std::vector<std::optional<Result<CandidateSet>>> blocked(blockers.size());
   exec_ctx_.get().ParallelFor(
-      0, blockers_.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
+      0, blockers.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
         for (size_t b = lo; b < hi; ++b) {
-          blocked[b] = blockers_[b]->Block(left, right, exec_ctx_);
+          blocked[b] = blockers[b]->Block(left, right, exec_ctx_);
         }
       });
   CandidateSet candidates = sure_matches;
@@ -90,6 +95,7 @@ Result<CandidateSet> EmWorkflow::RunNegativeRules(
 
 Result<WorkflowRunResult> EmWorkflow::Run(const Table& left,
                                           const Table& right) const {
+  prep_cache_->RetainTables(left, right);
   WorkflowRunResult out;
   EMX_ASSIGN_OR_RETURN(out.sure_matches, RunPositiveRules(left, right));
   EMX_ASSIGN_OR_RETURN(out.candidates,

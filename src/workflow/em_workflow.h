@@ -102,7 +102,8 @@ class EmWorkflow {
   // configured.
   Result<CandidateSet> RunPositiveRules(const Table& left,
                                         const Table& right) const;
-  // Stage 2: the candidate set C2 = (union of blockers) ∪ `sure_matches`.
+  // Stage 2: the candidate set C2 = (union of blockers) ∪ `sure_matches`,
+  // the token-overlap blockers merged by TokenOverlapBlocker::Group.
   Result<CandidateSet> RunBlocking(const Table& left, const Table& right,
                                    const CandidateSet& sure_matches) const;
   // Stage 3: ML predictions R over `ml_input` (C2 − C1); empty when no
@@ -121,8 +122,9 @@ class EmWorkflow {
   // token-id pass per (column, prep config), shared by every blocker and
   // the vectorize stage, across Run calls over unchanged tables. Entries
   // key on the table's version, so a Run over an edited or rebuilt table
-  // preps it afresh; checkpoint/resume never persists the cache (see
-  // DESIGN.md §8).
+  // preps it afresh, and a Run (or PipelineRunner::Run) first drops the
+  // entries of every table but its two (PrepCache::RetainTables);
+  // checkpoint/resume never persists the cache (see DESIGN.md §8).
   const std::shared_ptr<PrepCache>& prep_cache() const { return prep_cache_; }
 
   // A human-readable description of the configured stages — the §12/§13

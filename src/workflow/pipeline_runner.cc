@@ -48,6 +48,7 @@ PipelineRunner::PipelineRunner(const EmWorkflow* workflow,
 
 Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
                                               const Table& right) {
+  workflow_->prep_cache()->RetainTables(left, right);
   std::optional<CheckpointStore> store;
   if (!options_.checkpoint_dir.empty()) {
     auto opened = CheckpointStore::Open(options_.checkpoint_dir);

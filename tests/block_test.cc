@@ -5,9 +5,13 @@
 #include "src/block/candidate_set.h"
 #include "src/block/overlap_blocker.h"
 #include "src/block/rule_blocker.h"
+#include "src/block/similarity_join.h"
 #include "src/core/random.h"
 #include "src/core/strings.h"
+#include "src/datagen/case_study.h"
+#include "src/datagen/preprocess.h"
 #include "src/table/csv.h"
+#include "src/text/sequence_similarity.h"
 #include "src/text/set_similarity.h"
 
 namespace emx {
@@ -268,6 +272,79 @@ TEST_P(OverlapEquivalenceTest, IndexedMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OverlapEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 25));
 
+// --- grouping token blockers -------------------------------------------------------
+
+// Figure 10's blockers, plus one of each kind that must stay outside the
+// title pair's merged blocker: a q-gram title overlap, a Jaccard join on
+// the title, and an overlap on another attribute.
+TEST(TokenOverlapGroupTest, MergesFigure10TitleBlockersAlone) {
+  OverlapBlockerOptions title;
+  title.left_attr = "AwardTitle";
+  title.right_attr = "AwardTitle";
+  OverlapBlockerOptions name = title;
+  name.left_attr = "EmployeeName";
+  name.right_attr = "EmployeeName";
+  std::vector<std::shared_ptr<Blocker>> blockers = {
+      MakeM1EquivalenceBlocker(),
+      MakeTitleOverlapBlocker(3),
+      std::make_shared<OverlapBlocker>(title, 3,
+                                       std::make_shared<QgramTokenizer>(3)),
+      std::make_shared<JaccardJoinBlocker>(title, 0.7),
+      MakeTitleOverlapCoefficientBlocker(0.7),
+      std::make_shared<OverlapBlocker>(name, 1)};
+  std::vector<std::shared_ptr<Blocker>> grouped =
+      TokenOverlapBlocker::Group(blockers);
+  ASSERT_EQ(grouped.size(), 5u);
+  EXPECT_EQ(grouped[0], blockers[0]);  // AE, as it is
+  EXPECT_EQ(grouped[3], blockers[3]);  // Jaccard join, as it is
+  // The q-gram title overlap and the name overlap, each a copy of one.
+  for (auto [g, b] : {std::pair{2, 2}, std::pair{4, 5}}) {
+    const auto* one =
+        dynamic_cast<const TokenOverlapBlocker*>(grouped[g].get());
+    ASSERT_NE(one, nullptr);
+    EXPECT_EQ(one->members(), 1u);
+    EXPECT_EQ(one->name(), blockers[b]->name());
+  }
+
+  // The Figure-10 pair, merged at its first member's position.
+  const auto* pair = dynamic_cast<const TokenOverlapBlocker*>(grouped[1].get());
+  ASSERT_NE(pair, nullptr);
+  EXPECT_EQ(pair->members(), 2u);
+  EXPECT_EQ(pair->options().left_attr, "AwardTitle");
+  EXPECT_EQ(pair->tokenizer()->name(), WhitespaceTokenizer().name());
+  EXPECT_EQ(pair->min_left_tokens(), 1u);  // the coefficient blocker's
+  EXPECT_TRUE(pair->Keep(10, 10, 3));      // K=3 alone: 3 < 0.7 * 10
+  EXPECT_TRUE(pair->Keep(1, 1, 1));        // the coefficient alone
+  EXPECT_FALSE(pair->Keep(10, 10, 2));     // neither
+  EXPECT_EQ(pair->name(), blockers[1]->name() + "+" + blockers[4]->name());
+}
+
+TEST(TokenOverlapGroupTest, MergedBlockerTakesTheSmallestBoundedBudget) {
+  OverlapBlockerOptions unbounded;
+  unbounded.left_attr = "T";
+  unbounded.right_attr = "T";
+  OverlapBlockerOptions large = unbounded;
+  large.mem_budget_bytes = 1 << 20;
+  OverlapBlockerOptions small = unbounded;
+  small.mem_budget_bytes = 1 << 16;
+  auto merged = [](std::vector<std::shared_ptr<Blocker>> blockers) {
+    std::vector<std::shared_ptr<Blocker>> grouped =
+        TokenOverlapBlocker::Group(blockers);
+    EXPECT_EQ(grouped.size(), 1u);
+    return std::dynamic_pointer_cast<const TokenOverlapBlocker>(
+        grouped.front());
+  };
+  auto bounded = merged({std::make_shared<OverlapBlocker>(unbounded, 2),
+                         std::make_shared<OverlapBlocker>(large, 3),
+                         std::make_shared<OverlapCoefficientBlocker>(small, 0.5)});
+  EXPECT_EQ(bounded->options().mem_budget_bytes, size_t{1} << 16);
+  EXPECT_EQ(bounded->min_left_tokens(), 1u);
+  auto unbounded_pair = merged({std::make_shared<OverlapBlocker>(unbounded, 2),
+                               std::make_shared<OverlapBlocker>(unbounded, 3)});
+  EXPECT_EQ(unbounded_pair->options().mem_budget_bytes, 0u);
+  EXPECT_EQ(unbounded_pair->min_left_tokens(), 2u);
+}
+
 // --- single-table dedup ------------------------------------------------------------
 
 TEST(BlockSelfTest, DropsSelfPairsAndCanonicalizes) {
@@ -337,6 +414,48 @@ TEST(BlockingDebuggerTest, SkipsPairsAlreadyInCandidates) {
   auto findings = DebugBlocking(l, r, CS({{0, 0}}), opts);
   ASSERT_TRUE(findings.ok());
   EXPECT_TRUE(findings->empty());
+}
+
+// The debugger scores prepared columns; its top 100 on the case study
+// must score exactly as the string forms score them: hash-set Jaccard over
+// the word and padded 3-gram tokens of the lowercased text, and
+// Jaro-Winkler over that text.
+TEST(BlockingDebuggerTest, CaseStudyScoresEqualStringForms) {
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok());
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok());
+  const Table& u = tables->umetrics;
+  const Table& s = tables->usda;
+  auto blocks = RunStandardBlocking(u, s);
+  ASSERT_TRUE(blocks.ok());
+  BlockingDebuggerOptions opts;
+  opts.attrs = {{"AwardTitle", "AwardTitle"}, {"EmployeeName", "EmployeeName"}};
+  opts.top_k = 100;
+  auto findings = DebugBlocking(u, s, blocks->c, opts);
+  ASSERT_TRUE(findings.ok()) << findings.status().ToString();
+  ASSERT_EQ(findings->size(), 100u);
+
+  WhitespaceTokenizer ws;
+  QgramTokenizer qg(3);
+  auto string_score = [&](const Value& a, const Value& b) {
+    std::string x = a.is_null() ? "" : AsciiToLower(a.AsString());
+    std::string y = b.is_null() ? "" : AsciiToLower(b.AsString());
+    if (x.empty() || y.empty()) return 0.0;
+    double sum = JaccardSimilarity(ws.Tokenize(x), ws.Tokenize(y)) +
+                 JaccardSimilarity(qg.Tokenize(x), qg.Tokenize(y)) +
+                 JaroWinklerSimilarity(x, y);
+    return sum / 3.0;
+  };
+  for (const DebuggerFinding& f : *findings) {
+    EXPECT_FALSE(blocks->c.Contains(f.pair));
+    double sum = 0.0;
+    for (const auto& [la, ra] : opts.attrs) {
+      sum += string_score(u.at(f.pair.left, la), s.at(f.pair.right, ra));
+    }
+    EXPECT_EQ(f.score, sum / 2.0)
+        << "pair (" << f.pair.left << ", " << f.pair.right << ")";
+  }
 }
 
 TEST(BlockingDebuggerTest, RequiresAttrs) {

@@ -254,6 +254,31 @@ const WorkflowFixture& KeyedAndScannedRules() {
   return fx;
 }
 
+// Two token groups on the title, each answered by one delta index: the
+// Figure-10 word pair and a padded 3-gram pair (overlap K=30 and
+// coefficient 0.9), registered interleaved, with Figure 10's rules and
+// matcher.
+const WorkflowFixture& TwoTokenGroups() {
+  static const WorkflowFixture& fx = *[] {
+    const TrainedMatcher& t = CaseStudy().trained;
+    OverlapBlockerOptions title;
+    title.left_attr = "AwardTitle";
+    title.right_attr = "AwardTitle";
+    auto qgrams = std::make_shared<QgramTokenizer>(3);
+    EmWorkflow wf;
+    for (const MatchRule& r : PositiveRulesV2()) wf.AddPositiveRule(r);
+    wf.AddBlocker(MakeTitleOverlapBlocker(3));
+    wf.AddBlocker(std::make_shared<OverlapBlocker>(title, 30, qgrams));
+    wf.AddBlocker(MakeTitleOverlapCoefficientBlocker(0.7));
+    wf.AddBlocker(
+        std::make_shared<OverlapCoefficientBlocker>(title, 0.9, qgrams));
+    wf.SetMatcher(t.matcher, t.features, t.imputer);
+    for (const MatchRule& r : NegativeRules()) wf.AddNegativeRule(r);
+    return MakeWorkflowFixture(std::move(wf));
+  }();
+  return fx;
+}
+
 // --- scale fixture ---------------------------------------------------------------
 //
 // SF corpus (AwardTitle with NURand token skew) under a blocker+ML
@@ -379,6 +404,30 @@ TEST(MatchServiceOracleTest, Figure10WorkflowEveryRecordMatchesBatch) {
 TEST(MatchServiceOracleTest, KeyedAndScannedRulesEveryRecordMatchesBatch) {
   const CaseStudyFixture& cs = CaseStudy();
   const WorkflowFixture& fx = KeyedAndScannedRules();
+  auto svc = MatchService::Create(fx.wf, cs.tables.usda);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  for (size_t q = 0; q < cs.tables.umetrics.num_rows(); ++q) {
+    ExpectLookupMatchesOracle(**svc, cs.tables.umetrics, q, fx.oracle[q]);
+  }
+}
+
+// Each group's one delta index answers both its members: lookups equal
+// batch, whose blocking is the union of the four blockers' own candidate
+// sets.
+TEST(MatchServiceOracleTest, TwoTokenGroupsEveryRecordMatchesBatch) {
+  const CaseStudyFixture& cs = CaseStudy();
+  const WorkflowFixture& fx = TwoTokenGroups();
+  CandidateSet own;
+  for (const std::shared_ptr<Blocker>& b : fx.wf.blockers()) {
+    auto c = b->Block(cs.tables.umetrics, cs.tables.usda);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    own = CandidateSet::Union(own, *c);
+  }
+  auto blocked =
+      fx.wf.RunBlocking(cs.tables.umetrics, cs.tables.usda, CandidateSet());
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+  EXPECT_TRUE(*blocked == own)
+      << blocked->size() << " blocked, " << own.size() << " from the blockers";
   auto svc = MatchService::Create(fx.wf, cs.tables.usda);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
   for (size_t q = 0; q < cs.tables.umetrics.num_rows(); ++q) {
@@ -676,6 +725,26 @@ TEST(MatchServiceResidencyTest, RepeatedLookupsDoZeroRePrepWork) {
   // unsanitized builds.
   EXPECT_GE(stats.lookups, 1006u);
   EXPECT_GT(stats.query_preps, 0u);
+}
+
+// A service keeps nothing of its workflow's PrepCache: the cache of a
+// workflow that has run dies with the workflow, while the service built
+// from it keeps answering.
+TEST(MatchServiceResidencyTest, OutlivesItsWorkflowsPrepCache) {
+  const CaseStudyFixture& fx = CaseStudy();
+  std::weak_ptr<PrepCache> cache;
+  std::unique_ptr<MatchService> svc;
+  {
+    EmWorkflow wf = BuildServableCaseStudyWorkflow(fx.trained);
+    ASSERT_TRUE(wf.Run(fx.tables.umetrics, fx.tables.usda).ok());
+    ASSERT_GT(wf.prep_cache()->entries(), 0u);
+    cache = wf.prep_cache();
+    auto made = MatchService::Create(wf, fx.tables.usda);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    svc = std::move(made).value();
+  }
+  EXPECT_TRUE(cache.expired());
+  ExpectLookupMatchesOracle(*svc, fx.tables.umetrics, 42, fx.oracle[42]);
 }
 
 // The service preps its corpus into its own resident columns over its own

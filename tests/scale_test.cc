@@ -6,12 +6,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/block/attr_equivalence_blocker.h"
 #include "src/block/overlap_blocker.h"
 #include "src/block/partitioned_blocker.h"
 #include "src/block/similarity_join.h"
@@ -23,6 +25,7 @@
 #include "src/prep/prepared_column.h"
 #include "src/table/csv.h"
 #include "src/text/tokenizer.h"
+#include "src/workflow/em_workflow.h"
 
 namespace emx {
 namespace {
@@ -303,6 +306,121 @@ TEST(JaccardJoinTest, BudgetInvariantCandidatesAndVerifiedCount) {
     EXPECT_EQ(sa.verified, sb.verified) << "threads=" << threads;
     EXPECT_FALSE(ca->empty());
   }
+}
+
+// --- grouped token blocking --------------------------------------------------
+
+// One blocker of each kind, every bounded one under `budget`: the
+// Figure-10 title pair (overlap K=3 and coefficient 0.7, which Group
+// merges), a q-gram title overlap, a Jaccard join on the title, an overlap
+// on a second attribute pair, and `ae`.
+std::vector<std::shared_ptr<Blocker>> MixedBlockers(
+    std::shared_ptr<Blocker> ae, const std::string& left_other,
+    const std::string& right_other, size_t budget) {
+  OverlapBlockerOptions title;
+  title.left_attr = "AwardTitle";
+  title.right_attr = "AwardTitle";
+  title.mem_budget_bytes = budget;
+  OverlapBlockerOptions other = title;
+  other.left_attr = left_other;
+  other.right_attr = right_other;
+  return {std::move(ae),
+          std::make_shared<OverlapBlocker>(title, 3),
+          std::make_shared<OverlapBlocker>(
+              title, 24, std::make_shared<QgramTokenizer>(3)),
+          std::make_shared<JaccardJoinBlocker>(title, 0.6),
+          std::make_shared<OverlapCoefficientBlocker>(title, 0.7),
+          std::make_shared<OverlapBlocker>(other, 2)};
+}
+
+// RunBlocking over the mixed blockers equals the union of each blocker's
+// own Block at 1/2/8 threads, unbounded and under a 1-byte budget (every
+// partition at the 1024-row floor). That floor leaves these right tables
+// two partitions, so the merged title pair's join also runs directly at a
+// 97-row floor, at least four partitions, against its members' union.
+void ExpectGroupedBlockingIsUnionOfOwnBlocks(
+    const Table& left, const Table& right,
+    const std::function<std::shared_ptr<Blocker>()>& make_ae,
+    const std::string& left_other, const std::string& right_other) {
+  Executor pool1(1);
+  ExecutorContext ctx1{&pool1};
+  for (size_t budget : {size_t{0}, size_t{1}}) {
+    CandidateSet own;
+    for (const auto& b :
+         MixedBlockers(make_ae(), left_other, right_other, budget)) {
+      auto c = b->Block(left, right, ctx1);
+      ASSERT_TRUE(c.ok()) << b->name() << ": " << c.status().ToString();
+      own = CandidateSet::Union(own, *c);
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      Executor pool(threads);
+      ExecutorContext ctx{&pool};
+      EmWorkflow wf;
+      wf.SetExecutor(ctx);
+      for (auto& b : MixedBlockers(make_ae(), left_other, right_other, budget)) {
+        wf.AddBlocker(std::move(b));
+      }
+      auto got = wf.RunBlocking(left, right, CandidateSet());
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(*got == own) << "budget=" << budget << " threads=" << threads
+                               << " (" << got->size() << " vs " << own.size()
+                               << " pairs)";
+    }
+  }
+
+  std::vector<std::shared_ptr<Blocker>> blockers =
+      MixedBlockers(make_ae(), left_other, right_other, 0);
+  auto pair = std::dynamic_pointer_cast<const TokenOverlapBlocker>(
+      TokenOverlapBlocker::Group(blockers)[1]);
+  ASSERT_TRUE(pair != nullptr && pair->members() == 2);
+  CandidateSet members = CandidateSet::Union(*blockers[1]->Block(left, right),
+                                             *blockers[4]->Block(left, right));
+  PrepCache cache;
+  PrepOptions prep = internal_block::ToPrepOptions(pair->options());
+  auto lp = cache.Get(left, "AwardTitle", prep, pair->tokenizer().get());
+  auto rp = cache.Get(right, "AwardTitle", prep, pair->tokenizer().get());
+  ASSERT_TRUE(lp.ok() && rp.ok());
+  internal_block::BlockBudget budget;
+  budget.mem_budget_bytes = 1;
+  budget.min_partition_rows = 97;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    Executor pool(threads);
+    ExecutorContext ctx{&pool};
+    internal_block::PartitionedJoinStats stats;
+    CandidateSet got = internal_block::PartitionedOverlapJoin(
+        **lp, **rp,
+        [&pair](size_t a, size_t b, size_t overlap) {
+          return pair->Keep(a, b, overlap);
+        },
+        pair->min_left_tokens(), budget, ctx, &stats);
+    EXPECT_GE(stats.num_partitions, 4u);
+    EXPECT_TRUE(got == members) << "threads=" << threads << " ("
+                                << got.size() << " vs " << members.size()
+                                << " pairs)";
+  }
+}
+
+TEST(GroupedBlockingTest, CaseStudyRunBlockingIsUnionOfOwnBlocks) {
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok());
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok());
+  ExpectGroupedBlockingIsUnionOfOwnBlocks(
+      tables->umetrics, tables->usda, [] { return MakeM1EquivalenceBlocker(); },
+      "EmployeeName", "EmployeeName");
+}
+
+TEST(GroupedBlockingTest, ScaleCorpusSf2RunBlockingIsUnionOfOwnBlocks) {
+  ScaleCorpusOptions opts;
+  opts.scale_factor = 2.0;
+  ScaleCorpus corpus = MustGenerate(opts);
+  ExpectGroupedBlockingIsUnionOfOwnBlocks(
+      corpus.left, corpus.right,
+      [] {
+        return std::make_shared<AttrEquivalenceBlocker>("StartYear",
+                                                        "StartYear");
+      },
+      "PIName", "Director");
 }
 
 // --- CLI surface -------------------------------------------------------------

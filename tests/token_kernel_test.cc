@@ -23,6 +23,7 @@
 #include "src/core/executor.h"
 #include "src/core/strings.h"
 #include "src/datagen/case_study.h"
+#include "src/datagen/preprocess.h"
 #include "src/datagen/scale_corpus.h"
 #include "src/feature/feature_gen.h"
 #include "src/feature/vectorizer.h"
@@ -33,6 +34,7 @@
 #include "src/text/token_interner.h"
 #include "src/text/tokenizer.h"
 #include "src/workflow/em_workflow.h"
+#include "src/workflow/pipeline_runner.h"
 
 namespace emx {
 namespace {
@@ -935,9 +937,12 @@ TEST(WorkflowPrepCacheTest, TableEditBetweenRunsMatchesFreshWorkflow) {
 // round's tables and builds same-size ones with other contents (often in
 // the freed storage), and the long-lived workflow must decide what a fresh
 // workflow decides in every round.
+// Each Run first drops the entries of the previous round's tables, so the
+// cache holds one round's entries however many rounds ran.
 TEST(WorkflowPrepCacheTest, RebuiltSameSizeTablesMatchFreshWorkflow) {
   EmWorkflow wf = TitleWorkflow();
   size_t changed = 0;
+  size_t round_entries = 0;
   CandidateSet last;
   for (uint32_t round = 0; round < 200; ++round) {
     auto left = std::make_unique<Table>(RandomTable(40, 1000 + round));
@@ -949,8 +954,45 @@ TEST(WorkflowPrepCacheTest, RebuiltSameSizeTablesMatchFreshWorkflow) {
     ExpectSameRun(*want, *got, "round " + std::to_string(round));
     if (!(want->candidates == last)) ++changed;
     last = want->candidates;
+    if (round == 0) round_entries = wf.prep_cache()->entries();
+    ASSERT_EQ(wf.prep_cache()->entries(), round_entries)
+        << "round " << round;
   }
+  EXPECT_GT(round_entries, 0u);
   EXPECT_GT(changed, 150u);  // the rounds really differ
+}
+
+// Figure 10 runs its second branch (the extra UMETRICS records) against
+// the same USDA table: that Run drops the first branch's UMETRICS columns
+// and reads the USDA title column the first prepped, so it preps USDA
+// nothing. The second branch goes through PipelineRunner, which drops
+// entries the same way.
+TEST(WorkflowPrepCacheTest, SecondBranchReusesTheCorpusColumn) {
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok());
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok());
+  EmWorkflow wf;
+  wf.AddBlocker(MakeTitleOverlapBlocker(3));
+  wf.AddBlocker(MakeTitleOverlapCoefficientBlocker(0.7));
+  WhitespaceTokenizer ws;
+  const PrepOptions title{/*lowercase=*/true, /*strip_punctuation=*/true};
+  auto usda_title = [&] {
+    auto col = wf.prep_cache()->Get(tables->usda, "AwardTitle", title, &ws);
+    EXPECT_TRUE(col.ok());
+    return col.ok() ? col->get() : nullptr;
+  };
+
+  ASSERT_TRUE(wf.Run(tables->umetrics, tables->usda).ok());
+  ASSERT_EQ(wf.prep_cache()->entries(), 2u);
+  const PreparedColumn* first = usda_title();
+  PipelineRunner runner(&wf);
+  auto second = runner.Run(tables->extra, tables->usda);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(usda_title(), first);
+  EXPECT_EQ(wf.prep_cache()->entries(), 2u);  // extra's and USDA's
+  EXPECT_TRUE(wf.Run(tables->extra, tables->usda)->candidates ==
+              second->candidates);
 }
 
 // ---------- vectorize: touched-row prep vs whole-column prep ----------
