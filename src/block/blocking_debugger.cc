@@ -31,14 +31,18 @@ Result<DebugColumns> PrepDebugColumns(PrepCache& cache, const Table& table,
   return out;
 }
 
+// An attribute's score: (word Jaccard + 3-gram Jaccard + Jaro-Winkler) / 3,
+// or 0 when either text is empty. With `bound`, Jaro-Winkler's maximum of
+// 1 stands in for it, which gives a score at least the exact one: IEEE
+// addition and division round monotonically.
 double ScorePair(const DebugColumns& a, uint32_t l, const DebugColumns& b,
-                 uint32_t r) {
+                 uint32_t r, bool bound) {
   std::string_view ta = a.text->text(l);
   std::string_view tb = b.text->text(r);
   if (ta.empty() || tb.empty()) return 0.0;
   double s = JaccardSimilarity(a.words->ids(l), b.words->ids(r)) +
              JaccardSimilarity(a.qgrams->ids(l), b.qgrams->ids(r)) +
-             TokenJaroWinkler(ta, tb);
+             (bound ? 1.0 : TokenJaroWinkler(ta, tb));
   return s / 3.0;
 }
 
@@ -50,6 +54,7 @@ Result<std::vector<DebuggerFinding>> DebugBlocking(
   if (options.attrs.empty()) {
     return Status::InvalidArgument("DebugBlocking: no attributes configured");
   }
+  if (options.top_k == 0) return std::vector<DebuggerFinding>();
   // One cache, so both sides' spans share one interner.
   PrepCache cache;
   const PrepOptions prep{options.lowercase};
@@ -75,16 +80,23 @@ Result<std::vector<DebuggerFinding>> DebugBlocking(
     for (uint32_t r = 0; r < right.num_rows(); ++r) {
       RecordPair p{l, r};
       if (candidates.Contains(p)) continue;
-      double sum = 0.0;
-      for (size_t a = 0; a < lcols.size(); ++a) {
-        sum += ScorePair(lcols[a], l, rcols[a], r);
-      }
-      double score = sum / static_cast<double>(lcols.size());
-      if (heap.size() < options.top_k) {
-        heap.push({p, score});
-      } else if (score > heap.top().score) {
+      auto score = [&](bool bound) {
+        double sum = 0.0;
+        for (size_t a = 0; a < lcols.size(); ++a) {
+          sum += ScorePair(lcols[a], l, rcols[a], r, bound);
+        }
+        return sum / static_cast<double>(lcols.size());
+      };
+      // Jaro-Winkler is most of a pair's cost: a full heap first checks
+      // that the pair's bound beats its minimum.
+      const bool full = heap.size() == options.top_k;
+      if (full && !(score(/*bound=*/true) > heap.top().score)) continue;
+      double s = score(/*bound=*/false);
+      if (!full) {
+        heap.push({p, s});
+      } else if (s > heap.top().score) {
         heap.pop();
-        heap.push({p, score});
+        heap.push({p, s});
       }
     }
   }

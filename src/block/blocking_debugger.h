@@ -32,10 +32,12 @@ struct BlockingDebuggerOptions {
 //
 // Each attribute is prepped once per side through one PrepCache (word and
 // padded 3-gram id spans, and the normalized text), so the scan is
-// O(|A|·|B|) allocation-free span merges and bit-parallel Jaro-Winkler
-// calls (TokenJaroWinkler). Both Jaccard forms share one formula, and
-// TokenJaroWinkler equals JaroWinklerSimilarity, so every score equals the
-// string forms' bit for bit.
+// O(|A|·|B|) allocation-free span merges. Bit-parallel Jaro-Winkler calls
+// (TokenJaroWinkler) follow only for pairs that could still enter the top
+// `top_k` with every Jaro-Winkler term at its maximum of 1, which skips no
+// finding. Both Jaccard forms share one formula, and TokenJaroWinkler
+// equals JaroWinklerSimilarity, so every score equals the string forms'
+// bit for bit.
 Result<std::vector<DebuggerFinding>> DebugBlocking(
     const Table& left, const Table& right, const CandidateSet& candidates,
     const BlockingDebuggerOptions& options);

@@ -86,35 +86,27 @@ CandidateSet OverlapJoinStrings(
 
 TokenOverlapBlocker::TokenOverlapBlocker(OverlapBlockerOptions options,
                                          std::shared_ptr<Tokenizer> tokenizer,
-                                         internal_block::OverlapKeepFn keep,
-                                         size_t min_left_tokens)
+                                         const std::string& kind,
+                                         const std::string& parameter,
+                                         size_t min_left_tokens,
+                                         size_t min_overlap, double min_share)
     : options_(std::move(options)),
       tokenizer_(tokenizer ? std::move(tokenizer)
                            : std::make_shared<WhitespaceTokenizer>()),
+      name_(kind + "(" + options_.left_attr + "," + tokenizer_->name() + "," +
+            parameter + ")"),
       min_left_tokens_(min_left_tokens),
-      members_{{std::move(keep), min_left_tokens}} {}
+      predicates_{{min_left_tokens, min_overlap, min_share}} {}
 
-// Token-overlap blockers merged by Group: the first one's columns and
-// cache, and every member's keep.
-class TokenOverlapBlocker::Merged : public TokenOverlapBlocker {
- public:
-  explicit Merged(const TokenOverlapBlocker& first)
-      : TokenOverlapBlocker(first), name_(first.name()) {}
-
-  void Add(const TokenOverlapBlocker& b) {
-    size_t& budget = options_.mem_budget_bytes;
-    const size_t add = b.options_.mem_budget_bytes;
-    if (budget == 0 || (add != 0 && add < budget)) budget = add;
-    min_left_tokens_ = std::min(min_left_tokens_, b.min_left_tokens_);
-    members_.insert(members_.end(), b.members_.begin(), b.members_.end());
-    name_ += "+" + b.name();
-  }
-
-  std::string name() const override { return name_; }
-
- private:
-  std::string name_;
-};
+void TokenOverlapBlocker::Merge(const TokenOverlapBlocker& b) {
+  size_t& budget = options_.mem_budget_bytes;
+  const size_t add = b.options_.mem_budget_bytes;
+  if (budget == 0 || (add != 0 && add < budget)) budget = add;
+  min_left_tokens_ = std::min(min_left_tokens_, b.min_left_tokens_);
+  predicates_.insert(predicates_.end(), b.predicates_.begin(),
+                     b.predicates_.end());
+  name_ += "+" + b.name_;
+}
 
 std::vector<std::shared_ptr<Blocker>> TokenOverlapBlocker::Group(
     const std::vector<std::shared_ptr<Blocker>>& blockers) {
@@ -128,7 +120,7 @@ std::vector<std::shared_ptr<Blocker>> TokenOverlapBlocker::Group(
                            t->tokenizer_.get())};
   };
   std::vector<std::shared_ptr<Blocker>> out;
-  std::vector<Merged*> merged;  // out[i] if Group made it, else null
+  std::vector<TokenOverlapBlocker*> merged;  // out[i] if Group made it
   for (const std::shared_ptr<Blocker>& b : blockers) {
     const std::optional<Columns> key = columns(b.get());
     if (!key) {
@@ -141,11 +133,11 @@ std::vector<std::shared_ptr<Blocker>> TokenOverlapBlocker::Group(
       return columns(o.get()) == key;
     });
     if (it == out.end()) {
-      auto one = std::make_shared<Merged>(tb);
-      merged.push_back(one.get());
-      out.push_back(std::move(one));
+      auto copy = std::make_shared<TokenOverlapBlocker>(tb);
+      merged.push_back(copy.get());
+      out.push_back(std::move(copy));
     } else {
-      merged[it - out.begin()]->Add(tb);
+      merged[it - out.begin()]->Merge(tb);
     }
   }
   return out;
@@ -167,13 +159,6 @@ Result<CandidateSet> TokenOverlapBlocker::Block(
       cache.Get(right, options_.right_attr, prep, tokenizer_.get()));
   internal_block::BlockBudget budget;
   budget.mem_budget_bytes = options_.mem_budget_bytes;
-  // A lone blocker's keep is called directly: Keep's member loop around it
-  // made a single blocker's SF-100 join a third slower on a 4-CPU x86-64
-  // VM.
-  if (members_.size() == 1) {
-    return internal_block::PartitionedOverlapJoin(
-        *lp, *rp, members_.front().keep, min_left_tokens_, budget, ctx);
-  }
   return internal_block::PartitionedOverlapJoin(
       *lp, *rp,
       [this](size_t left_size, size_t right_size, size_t overlap) {
@@ -182,40 +167,22 @@ Result<CandidateSet> TokenOverlapBlocker::Block(
       min_left_tokens_, budget, ctx);
 }
 
+// K keeps pairs sharing K tokens, so a left row needs K of its own.
 OverlapBlocker::OverlapBlocker(OverlapBlockerOptions options,
                                size_t min_overlap,
                                std::shared_ptr<Tokenizer> tokenizer)
-    : TokenOverlapBlocker(
-          std::move(options), std::move(tokenizer),
-          [min_overlap](size_t, size_t, size_t overlap) {
-            return overlap >= min_overlap;
-          },
-          /*min_left_tokens=*/min_overlap) {}
+    : TokenOverlapBlocker(std::move(options), std::move(tokenizer), "overlap",
+                          "K=" + std::to_string(min_overlap),
+                          /*min_left_tokens=*/min_overlap, min_overlap,
+                          /*min_share=*/0.0) {}
 
-std::string OverlapBlocker::name() const {
-  return "overlap(" + options().left_attr + "," + tokenizer()->name() +
-         ",K=" + std::to_string(min_left_tokens()) + ")";
-}
-
+// t of the shorter side, over pairs that share a token at all.
 OverlapCoefficientBlocker::OverlapCoefficientBlocker(
     OverlapBlockerOptions options, double threshold,
     std::shared_ptr<Tokenizer> tokenizer)
-    : TokenOverlapBlocker(
-          std::move(options), std::move(tokenizer),
-          [threshold](size_t la, size_t lb, size_t overlap) {
-            size_t mn = std::min(la, lb);
-            if (mn == 0) return false;
-            return static_cast<double>(overlap) >=
-                   threshold * static_cast<double>(mn);
-          },
-          /*min_left_tokens=*/1),
-      threshold_(threshold) {}
-
-std::string OverlapCoefficientBlocker::name() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", threshold_);
-  return "overlap_coeff(" + options().left_attr + "," + tokenizer()->name() +
-         ",t=" + buf + ")";
-}
+    : TokenOverlapBlocker(std::move(options), std::move(tokenizer),
+                          "overlap_coeff", StrFormat("t=%.2f", threshold),
+                          /*min_left_tokens=*/1, /*min_overlap=*/1,
+                          threshold) {}
 
 }  // namespace emx

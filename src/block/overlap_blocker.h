@@ -1,6 +1,7 @@
 #ifndef EMX_BLOCK_OVERLAP_BLOCKER_H_
 #define EMX_BLOCK_OVERLAP_BLOCKER_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,9 +32,9 @@ struct OverlapBlockerOptions {
 
 namespace internal_block {
 
-// `keep(left_size, right_size, overlap)` decides whether a probed pair
-// becomes a candidate; sizes are token counts (per-occurrence, i.e. set
-// sizes under unique tokenizers).
+// The string oracle's predicate: `keep(left_size, right_size, overlap)`
+// decides whether a probed pair becomes a candidate; sizes are token counts
+// (per-occurrence, i.e. set sizes under unique tokenizers).
 using OverlapKeepFn = std::function<bool(size_t, size_t, size_t)>;
 
 // Normalizes and tokenizes every value of `column` according to `options`.
@@ -58,22 +59,27 @@ inline PrepOptions ToPrepOptions(const OverlapBlockerOptions& options) {
 }  // namespace internal_block
 
 // A blocker that keeps a pair when the token multisets of its two
-// attribute values overlap enough, as decided by keep(). Both columns are
-// prepped once into sorted token-id spans (via the shared PrepCache when
-// one is installed), then the partitioned blocking engine streams
-// right-table partitions, each a PostingIndex probed per left record
-// (partitioned_blocker.h), within the options' memory budget; never the
-// full Cartesian product, and no per-probe hashing or allocation. Left
-// records with fewer than min_left_tokens() tokens are pruned before
-// probing.
+// attribute values overlap enough. Both columns are prepped once into
+// sorted token-id spans (via the shared PrepCache when one is installed),
+// then the partitioned blocking engine streams right-table partitions,
+// each a PostingIndex probed per left record (partitioned_blocker.h),
+// within the options' memory budget; never the full Cartesian product, and
+// no per-probe hashing or allocation. Left records with fewer than
+// min_left_tokens() tokens are pruned before probing.
+//
+// The predicate is data: a pair whose rows hold x and y tokens and share
+// `overlap` token occurrences is kept when x >= min_left_tokens,
+// overlap >= min_overlap and double(overlap) >= min_share * double(min(x,
+// y)), i.e. when the overlap reaches a minimum that is a function of
+// (x, y). The left gate stays separate because under a bag tokenizer the
+// per-occurrence overlap can exceed x.
 //
 // Blockers that read one prepared column pair (the same left and right
 // attribute under one PrepKey, i.e. normalization and tokenizer) merge
-// into one (Group), which keeps a pair when some member would: the left
-// row has at least that member's min_left_tokens() tokens and its keep()
-// holds. Probing left rows with at least the smallest member
-// min_left_tokens(), under the smallest bounded member budget, its one
-// join emits exactly the union of the members' own candidate sets (the
+// into one (Group), which holds every member's predicate and keeps a pair
+// when some member's does. Probing left rows with at least the smallest
+// member min_left_tokens, under the smallest bounded member budget, its
+// one join emits exactly the union of the members' own candidate sets (the
 // join's output does not depend on its budget). MatchService answers a
 // merged blocker from one delta index.
 class TokenOverlapBlocker : public Blocker {
@@ -81,6 +87,9 @@ class TokenOverlapBlocker : public Blocker {
   using Blocker::Block;
   Result<CandidateSet> Block(const Table& left, const Table& right,
                              const ExecutorContext& ctx) const override;
+
+  // A merged blocker's name joins its members' names with '+'.
+  std::string name() const override { return name_; }
 
   void set_prep_cache(std::shared_ptr<PrepCache> cache) override {
     prep_cache_ = std::move(cache);
@@ -98,52 +107,50 @@ class TokenOverlapBlocker : public Blocker {
   // budget, or 0 when no member is bounded.
   const OverlapBlockerOptions& options() const { return options_; }
   const std::shared_ptr<Tokenizer>& tokenizer() const { return tokenizer_; }
-  // Left records with fewer tokens than this cannot satisfy keep().
+  // Left records with fewer tokens than this cannot satisfy Keep().
   size_t min_left_tokens() const { return min_left_tokens_; }
   // 1, or how many blockers Group merged into this one.
-  size_t members() const { return members_.size(); }
+  size_t members() const { return predicates_.size(); }
 
   // Whether some member keeps a pair whose rows hold `left_size` and
   // `right_size` tokens and share `overlap` token occurrences.
   bool Keep(size_t left_size, size_t right_size, size_t overlap) const {
-    auto keeps = [&](const Member& m) {
-      return left_size >= m.min_left_tokens &&
-             m.keep(left_size, right_size, overlap);
-    };
-    // The first member calls its keep from a site of its own: from one
-    // shared site the members' targets alternate pair by pair and the
-    // indirect branch mispredicts (the SF-100 title pair's join ran 13%
-    // slower so on a 4-CPU x86-64 VM). The member bounds are read once:
-    // reloaded after every opaque keep call, they cost the case study's
-    // served lookups 5% at the median.
-    const Member* m = members_.data();
-    const Member* end = m + members_.size();
-    if (keeps(*m)) return true;
-    while (++m != end) {
-      if (keeps(*m)) return true;
+    const double shorter =
+        static_cast<double>(std::min(left_size, right_size));
+    for (const Predicate& p : predicates_) {
+      if (left_size >= p.min_left_tokens && overlap >= p.min_overlap &&
+          static_cast<double>(overlap) >= p.min_share * shorter) {
+        return true;
+      }
     }
     return false;
   }
 
  protected:
-  // A null tokenizer means WhitespaceTokenizer.
+  // A null tokenizer means WhitespaceTokenizer. The name is
+  // `kind(left_attr,tokenizer,parameter)`.
   TokenOverlapBlocker(OverlapBlockerOptions options,
                       std::shared_ptr<Tokenizer> tokenizer,
-                      internal_block::OverlapKeepFn keep,
-                      size_t min_left_tokens);
+                      const std::string& kind, const std::string& parameter,
+                      size_t min_left_tokens, size_t min_overlap,
+                      double min_share);
 
  private:
-  class Merged;
-
-  struct Member {
-    internal_block::OverlapKeepFn keep;
+  // One member blocker's predicate (see the class comment).
+  struct Predicate {
     size_t min_left_tokens;
+    size_t min_overlap;
+    double min_share;
   };
+
+  // Merges `b` into this blocker: its predicate, budget and name.
+  void Merge(const TokenOverlapBlocker& b);
 
   OverlapBlockerOptions options_;
   std::shared_ptr<Tokenizer> tokenizer_;
+  std::string name_;
   size_t min_left_tokens_;
-  std::vector<Member> members_;
+  std::vector<Predicate> predicates_;
   std::shared_ptr<PrepCache> prep_cache_;  // optional, workflow-scoped
 };
 
@@ -153,8 +160,6 @@ class OverlapBlocker : public TokenOverlapBlocker {
  public:
   OverlapBlocker(OverlapBlockerOptions options, size_t min_overlap,
                  std::shared_ptr<Tokenizer> tokenizer = nullptr);
-
-  std::string name() const override;
 };
 
 // Overlap-coefficient blocker: survives iff
@@ -164,11 +169,6 @@ class OverlapCoefficientBlocker : public TokenOverlapBlocker {
  public:
   OverlapCoefficientBlocker(OverlapBlockerOptions options, double threshold,
                             std::shared_ptr<Tokenizer> tokenizer = nullptr);
-
-  std::string name() const override;
-
- private:
-  double threshold_;
 };
 
 }  // namespace emx

@@ -112,14 +112,21 @@ CandidateSet PartitionedJoin(size_t left_rows, const Probe& probe,
           for (size_t l = chunk_lo; l < chunk_hi; ++l) {
             part.Count(probe(l), &scratch);
             const uint32_t left = static_cast<uint32_t>(l);
-            for (uint32_t local : scratch.touched) {
-              const uint32_t right = static_cast<uint32_t>(lo + local);
-              if (keep(left, right, scratch.counts[local])) {
-                out.push_back({left, right});
-              }
+            // Kept rows move to the front of touched and are emitted after
+            // the loop: with no call in it (out's growth), the predicate's
+            // state stays in registers.
+            std::vector<uint32_t>& touched = scratch.touched;
+            size_t kept = 0;
+            for (uint32_t local : touched) {
+              touched[kept] = local;
+              kept += keep(left, static_cast<uint32_t>(lo + local),
+                           scratch.counts[local]);
               scratch.counts[local] = 0;
             }
-            scratch.touched.clear();
+            for (size_t i = 0; i < kept; ++i) {
+              out.push_back({left, static_cast<uint32_t>(lo + touched[i])});
+            }
+            touched.clear();
           }
           return out;
         });

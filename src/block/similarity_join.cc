@@ -27,6 +27,11 @@ Result<CandidateSet> JaccardJoinBlocker::Block(const Table& left,
 Result<CandidateSet> JaccardJoinBlocker::BlockWithStats(
     const Table& left, const Table& right, BlockStats* stats,
     const ExecutorContext& ctx) const {
+  // Outside (0, 1] (NaN included) the prefix below is longer than its row.
+  if (!(threshold_ > 0.0 && threshold_ <= 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "jaccard_join: threshold %g is outside (0, 1]", threshold_));
+  }
   // Prep both columns once into id spans over a shared interner (the
   // workflow cache when installed, else a call-local one — kept alive here
   // because the token-string snapshot below views into its interner).

@@ -30,7 +30,8 @@ struct BlockStats {
 // |x| tokens and threshold t, any pair meeting t must share a token among
 // the first |x| - ceil(t·|x|) + 1 tokens under a global token ordering
 // (rarest-first, so prefixes carry the most selective tokens). Candidates
-// that share a prefix token are then verified exactly.
+// that share a prefix token are then verified exactly. Block is
+// InvalidArgument unless 0 < threshold <= 1.
 class JaccardJoinBlocker : public Blocker {
  public:
   JaccardJoinBlocker(OverlapBlockerOptions options, double threshold,

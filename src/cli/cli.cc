@@ -190,7 +190,8 @@ Result<size_t> BlockMemBudgetFromArgs(const Args& args) {
 }
 
 // Builds a blocker from --method and its parameter flags; shared by the
-// block and run subcommands. InvalidArgument on an unknown method.
+// block, dedupe, run and serve subcommands. InvalidArgument on an unknown
+// method.
 Result<std::shared_ptr<Blocker>> MakeBlockerFromArgs(
     const Args& args, const std::string& left_attr,
     const std::string& right_attr) {
@@ -397,32 +398,12 @@ int CmdDedupe(const Args& args, const ExecutorContext& ctx, std::string& out,
   if (!table.ok()) return Fail(err, table.status().ToString());
   std::string attr = args.Flag("left-attr");
   if (attr.empty()) return Fail(err, "--left-attr is required");
-  std::string method = args.Flag("method", "overlap");
-
-  std::unique_ptr<Blocker> blocker;
-  OverlapBlockerOptions opts;
-  opts.left_attr = attr;
-  opts.right_attr = attr;
-  auto budget = BlockMemBudgetFromArgs(args);
-  if (!budget.ok()) return Fail(err, budget.status().message());
-  opts.mem_budget_bytes = *budget;
-  if (method == "ae") {
-    blocker = std::make_unique<AttrEquivalenceBlocker>(attr, attr);
-  } else if (method == "overlap") {
-    Result<size_t> k = NumericFlag<size_t>(args, "k", 3);
-    if (!k.ok()) return Fail(err, k.status().ToString());
-    blocker = std::make_unique<OverlapBlocker>(opts, *k);
-  } else if (method == "jaccard") {
-    Result<double> t = NumericFlag(args, "threshold", 0.7);
-    if (!t.ok()) return Fail(err, t.status().ToString());
-    blocker = std::make_unique<JaccardJoinBlocker>(opts, *t);
-  } else {
-    return Fail(err, "unknown --method '" + method + "' (ae|overlap|jaccard)");
-  }
-  auto dup = BlockSelf(*blocker, *table, ctx);
+  auto blocker = MakeBlockerFromArgs(args, attr, attr);
+  if (!blocker.ok()) return Fail(err, blocker.status().message());
+  auto dup = BlockSelf(**blocker, *table, ctx);
   if (!dup.ok()) return Fail(err, dup.status().ToString());
   out += StrFormat("%s found %zu potential duplicate pairs in %zu rows\n",
-                   blocker->name().c_str(), dup->size(), table->num_rows());
+                   (*blocker)->name().c_str(), dup->size(), table->num_rows());
   std::string out_path = args.Flag("out");
   if (!out_path.empty()) {
     Status s = WritePairsCsv(*dup, out_path);
@@ -586,10 +567,14 @@ int CmdRun(const Args& args, const ExecutorContext& ctx, std::string& out,
   }
 
   const std::string matcher_name = args.Flag("matcher", "tree");
-  const std::string model_fp = HashHex(Fnv1a64(
-      WriteCsvString(*left) + "\x1f" + WriteCsvString(*right) + "\x1f" +
-      SerializeLabelsForFingerprint(training->decided) + "\x1f" +
-      matcher_name + "\x1f" + Join(training->features.names(), ",")));
+  // Only a store reads the model's fingerprint.
+  const std::string model_fp =
+      store ? HashHex(Fnv1a64(
+                  WriteCsvString(*left) + "\x1f" + WriteCsvString(*right) +
+                  "\x1f" + SerializeLabelsForFingerprint(training->decided) +
+                  "\x1f" + matcher_name + "\x1f" +
+                  Join(training->features.names(), ",")))
+            : "";
 
   std::shared_ptr<MlMatcher> matcher;
   if (store && resume) {

@@ -20,8 +20,10 @@ namespace emx {
 //                [--matcher=tree|forest|logreg|nb|svm|linreg]
 //                [--exclude=col1,col2] [--lowercase=colA,colB]
 //                --out=matches.csv
-//   emx dedupe   <table.csv> --left-attr=COL [--method=ae|overlap|jaccard]
-//                [--k=3] [--threshold=0.7] [--out=pairs.csv]
+//   emx dedupe   <table.csv> --left-attr=COL
+//                [--method=ae|overlap|coeff|jaccard|snb] [--k=3]
+//                [--threshold=0.7] [--window=5] [--block-mem-budget=SIZE]
+//                [--out=pairs.csv]
 //   emx estimate --matches=matches.csv --sample=sample.csv
 //   emx run      <left.csv> <right.csv> --left-attr=COL --labels=labels.csv
 //                [--method=...] [--matcher=tree|forest|logreg|nb|svm|linreg]
@@ -56,6 +58,10 @@ namespace emx {
 // many threads the blocking/vectorization/matching stages run on (default:
 // the EMX_THREADS env var, else all hardware threads). Results are
 // identical at any thread count.
+//
+// `emx dedupe` takes the same --method set and flags as `emx block`, with
+// the one table on both sides. `--threshold` is the overlap coefficient's
+// or the Jaccard join's; the Jaccard join needs it in (0, 1].
 //
 // Overlap/coeff/jaccard blocking accepts `--block-mem-budget=SIZE` (human
 // byte sizes: 64M, 2g, 1048576) bounding the peak index + probe working

@@ -31,13 +31,17 @@ Result<CandidateSet> ComputeContained(
 }
 
 // Chains a stage fingerprint from the upstream fingerprint plus the
-// serialized upstream artifact, so a stage is only ever resumed against the
-// exact bytes its checkpointed output was computed from.
+// serialized upstream artifact (none for the first stage), so a stage is
+// only ever resumed against the exact bytes its checkpointed output was
+// computed from. Only a checkpoint store reads fingerprints: without one
+// the base is empty, and so is every fingerprint chained from it.
 std::string ChainFingerprint(const std::string& upstream,
-                             const std::string& artifact,
+                             const CandidateSet* artifact,
                              const std::string& stage) {
+  if (upstream.empty()) return "";
+  const std::string bytes = artifact ? SerializeCandidateSet(*artifact) : "";
   return HashHex(
-      Fnv1a64(upstream + "|" + HashHex(Fnv1a64(artifact)) + "|" + stage));
+      Fnv1a64(upstream + "|" + HashHex(Fnv1a64(bytes)) + "|" + stage));
 }
 
 }  // namespace
@@ -108,20 +112,22 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
 
   // The base fingerprint covers everything every stage depends on: both
   // input tables (content, not path) and the full workflow configuration.
-  const std::string base = HashHex(Fnv1a64(
-      WriteCsvString(left) + "\x1f" + WriteCsvString(right) + "\x1f" +
-      workflow_->Describe()));
+  const std::string base =
+      store ? HashHex(Fnv1a64(WriteCsvString(left) + "\x1f" +
+                              WriteCsvString(right) + "\x1f" +
+                              workflow_->Describe()))
+            : "";
 
   WorkflowRunResult out;
 
-  const std::string fp_sure = ChainFingerprint(base, "", "sure_matches");
+  const std::string fp_sure = ChainFingerprint(base, nullptr, "sure_matches");
   EMX_ASSIGN_OR_RETURN(
       out.sure_matches,
       run_stage("sure_matches", fp_sure,
                 [&] { return workflow_->RunPositiveRules(left, right); }));
 
-  const std::string fp_candidates = ChainFingerprint(
-      fp_sure, SerializeCandidateSet(out.sure_matches), "candidates");
+  const std::string fp_candidates =
+      ChainFingerprint(fp_sure, &out.sure_matches, "candidates");
   EMX_ASSIGN_OR_RETURN(
       out.candidates,
       run_stage("candidates", fp_candidates, [&] {
@@ -131,8 +137,8 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
   // Cheap, deterministic set algebra — recomputed, never checkpointed.
   out.ml_input = CandidateSet::Minus(out.candidates, out.sure_matches);
 
-  const std::string fp_predicted = ChainFingerprint(
-      fp_candidates, SerializeCandidateSet(out.ml_input), "ml_predicted");
+  const std::string fp_predicted =
+      ChainFingerprint(fp_candidates, &out.ml_input, "ml_predicted");
   EMX_ASSIGN_OR_RETURN(
       out.ml_predicted,
       run_stage("ml_predicted", fp_predicted, [&] {
@@ -141,8 +147,8 @@ Result<WorkflowRunResult> PipelineRunner::Run(const Table& left,
 
   // The negative-rule stage produces two sets from one computation; both are
   // checkpointed under the same fingerprint, and resume requires both.
-  const std::string fp_rules = ChainFingerprint(
-      fp_predicted, SerializeCandidateSet(out.ml_predicted), "negative_rules");
+  const std::string fp_rules =
+      ChainFingerprint(fp_predicted, &out.ml_predicted, "negative_rules");
   std::optional<CandidateSet> after = try_resume("after_rules", fp_rules);
   std::optional<CandidateSet> flipped =
       after ? try_resume("flipped", fp_rules) : std::nullopt;

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <queue>
+
 #include <gtest/gtest.h>
 
 #include "src/block/attr_equivalence_blocker.h"
@@ -11,6 +16,7 @@
 #include "src/datagen/case_study.h"
 #include "src/datagen/preprocess.h"
 #include "src/table/csv.h"
+#include "src/table/table_ops.h"
 #include "src/text/sequence_similarity.h"
 #include "src/text/set_similarity.h"
 
@@ -345,6 +351,80 @@ TEST(TokenOverlapGroupTest, MergedBlockerTakesTheSmallestBoundedBudget) {
   EXPECT_EQ(unbounded_pair->min_left_tokens(), 2u);
 }
 
+// The predicates as data against the keep functions they replace, written
+// out here as the oracle: an overlap blocker keeps overlap >= K, a
+// coefficient blocker overlap >= t * min(x, y) over a nonzero min, each
+// member only for a left row of at least its min_left_tokens, and a merged
+// blocker what some member keeps. Every reachable input: row sizes 1..12
+// and overlaps 1..24, which a bag tokenizer's per-occurrence count can
+// reach above both sizes.
+TEST(TokenOverlapGroupTest, KeepEqualsTheMembersKeepFunctions) {
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  struct Oracle {
+    std::shared_ptr<Blocker> blocker;
+    size_t min_left_tokens;
+    std::function<bool(size_t, size_t, size_t)> keep;
+    bool Keeps(size_t x, size_t y, size_t overlap) const {
+      return x >= min_left_tokens && keep(x, y, overlap);
+    }
+  };
+  std::vector<Oracle> oracles;
+  for (size_t k : {0, 1, 3, 5}) {
+    oracles.push_back({std::make_shared<OverlapBlocker>(opts, k), k,
+                       [k](size_t, size_t, size_t overlap) {
+                         return overlap >= k;
+                       }});
+  }
+  for (double t : {-0.5, 0.0, 0.3, 0.7, 1.0, 1.5, std::nan("")}) {
+    oracles.push_back({std::make_shared<OverlapCoefficientBlocker>(opts, t), 1,
+                       [t](size_t x, size_t y, size_t overlap) {
+                         size_t mn = std::min(x, y);
+                         if (mn == 0) return false;
+                         return static_cast<double>(overlap) >=
+                                t * static_cast<double>(mn);
+                       }});
+  }
+  // Calls `check(x, y, overlap)` on every reachable input.
+  auto every_input = [](const auto& check) {
+    for (size_t x = 1; x <= 12; ++x) {
+      for (size_t y = 1; y <= 12; ++y) {
+        for (size_t overlap = 1; overlap <= 24; ++overlap) {
+          check(x, y, overlap);
+        }
+      }
+    }
+  };
+  auto token_blocker = [](const std::shared_ptr<Blocker>& b) {
+    return std::dynamic_pointer_cast<const TokenOverlapBlocker>(b);
+  };
+  for (const Oracle& a : oracles) {
+    auto one = token_blocker(a.blocker);
+    ASSERT_EQ(one->members(), 1u);
+    EXPECT_EQ(one->min_left_tokens(), a.min_left_tokens);
+    size_t wrong = 0;
+    every_input([&](size_t x, size_t y, size_t overlap) {
+      wrong += one->Keep(x, y, overlap) != a.Keeps(x, y, overlap);
+    });
+    EXPECT_EQ(wrong, 0u) << one->name();
+    for (const Oracle& b : oracles) {
+      std::vector<std::shared_ptr<Blocker>> grouped =
+          TokenOverlapBlocker::Group({a.blocker, b.blocker});
+      ASSERT_EQ(grouped.size(), 1u);
+      auto pair = token_blocker(grouped.front());
+      ASSERT_EQ(pair->members(), 2u);
+      EXPECT_EQ(pair->min_left_tokens(),
+                std::min(a.min_left_tokens, b.min_left_tokens));
+      every_input([&](size_t x, size_t y, size_t overlap) {
+        wrong += pair->Keep(x, y, overlap) !=
+                 (a.Keeps(x, y, overlap) || b.Keeps(x, y, overlap));
+      });
+      EXPECT_EQ(wrong, 0u) << pair->name();
+    }
+  }
+}
+
 // --- single-table dedup ------------------------------------------------------------
 
 TEST(BlockSelfTest, DropsSelfPairsAndCanonicalizes) {
@@ -404,6 +484,11 @@ TEST(BlockingDebuggerTest, SurfacesExcludedNearDuplicates) {
   for (size_t i = 1; i < findings->size(); ++i) {
     EXPECT_LE((*findings)[i].score, (*findings)[i - 1].score);
   }
+  // A top 0 is empty.
+  opts.top_k = 0;
+  findings = DebugBlocking(l, r, CandidateSet(), opts);
+  ASSERT_TRUE(findings.ok());
+  EXPECT_TRUE(findings->empty());
 }
 
 TEST(BlockingDebuggerTest, SkipsPairsAlreadyInCandidates) {
@@ -455,6 +540,103 @@ TEST(BlockingDebuggerTest, CaseStudyScoresEqualStringForms) {
     }
     EXPECT_EQ(f.score, sum / 2.0)
         << "pair (" << f.pair.left << ", " << f.pair.right << ")";
+  }
+}
+
+// The debugger leaves out the Jaro-Winkler scores that cannot change its
+// heap. Over a slice of the case study its findings and their order equal
+// a scan that scores every pair in full by the string forms and keeps the
+// same heap.
+TEST(BlockingDebuggerTest, SkippedScoresChangeNoFinding) {
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok());
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok());
+  auto head = [](const Table& t, size_t n) {
+    return Select(t, [n](const Table&, size_t row) { return row < n; });
+  };
+  const Table u = head(tables->umetrics, 100);
+  const Table s = head(tables->usda, 160);
+  auto blocks = RunStandardBlocking(u, s);
+  ASSERT_TRUE(blocks.ok());
+  const std::vector<std::pair<std::string, std::string>> attrs = {
+      {"AwardTitle", "AwardTitle"}, {"EmployeeName", "EmployeeName"}};
+  WhitespaceTokenizer ws;
+  QgramTokenizer qg(3);
+  struct Prepped {
+    std::string text;
+    std::vector<std::string> words, qgrams;
+  };
+  auto prep = [&](const Table& t, const std::string& attr, bool lowercase) {
+    std::vector<Prepped> out;
+    for (size_t row = 0; row < t.num_rows(); ++row) {
+      const Value& v = t.at(row, attr);
+      std::string x = v.is_null() ? "" : v.AsString();
+      if (lowercase) x = AsciiToLower(x);
+      out.push_back({x, ws.Tokenize(x), qg.Tokenize(x)});
+    }
+    return out;
+  };
+  for (bool lowercase : {true, false}) {
+    // Every pair outside the candidates, scored in scan order.
+    std::vector<std::vector<Prepped>> lp, rp;
+    for (const auto& [la, ra] : attrs) {
+      lp.push_back(prep(u, la, lowercase));
+      rp.push_back(prep(s, ra, lowercase));
+    }
+    std::vector<DebuggerFinding> scored;
+    for (uint32_t l = 0; l < u.num_rows(); ++l) {
+      for (uint32_t r = 0; r < s.num_rows(); ++r) {
+        if (blocks->c.Contains({l, r})) continue;
+        double sum = 0.0;
+        for (size_t a = 0; a < attrs.size(); ++a) {
+          const Prepped& x = lp[a][l];
+          const Prepped& y = rp[a][r];
+          if (x.text.empty() || y.text.empty()) {
+            sum += 0.0;
+            continue;
+          }
+          sum += (JaccardSimilarity(x.words, y.words) +
+                  JaccardSimilarity(x.qgrams, y.qgrams) +
+                  JaroWinklerSimilarity(x.text, y.text)) /
+                 3.0;
+        }
+        scored.push_back({{l, r}, sum / 2.0});
+      }
+    }
+    for (size_t top_k : {1, 10, 100}) {
+      auto cmp = [](const DebuggerFinding& a, const DebuggerFinding& b) {
+        return a.score > b.score;
+      };
+      std::priority_queue<DebuggerFinding, std::vector<DebuggerFinding>,
+                          decltype(cmp)>
+          heap(cmp);
+      for (const DebuggerFinding& f : scored) {
+        if (heap.size() < top_k) {
+          heap.push(f);
+        } else if (f.score > heap.top().score) {
+          heap.pop();
+          heap.push(f);
+        }
+      }
+      std::vector<DebuggerFinding> want;
+      for (; !heap.empty(); heap.pop()) want.push_back(heap.top());
+      std::reverse(want.begin(), want.end());
+
+      BlockingDebuggerOptions opts;
+      opts.attrs = attrs;
+      opts.top_k = top_k;
+      opts.lowercase = lowercase;
+      auto got = DebugBlocking(u, s, blocks->c, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), top_k);
+      for (size_t i = 0; i < top_k; ++i) {
+        EXPECT_EQ((*got)[i].pair, want[i].pair)
+            << "lowercase=" << lowercase << " top_k=" << top_k << " i=" << i;
+        EXPECT_EQ((*got)[i].score, want[i].score)
+            << "lowercase=" << lowercase << " top_k=" << top_k << " i=" << i;
+      }
+    }
   }
 }
 

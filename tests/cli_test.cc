@@ -225,6 +225,35 @@ TEST(CliTest, DedupeFindsDuplicateRows) {
   EXPECT_EQ(pairs->at(0, "right_id").AsInt(), 2);
 }
 
+// dedupe builds its blocker as block does, so every --method is there.
+TEST(CliTest, DedupeTakesEveryBlockMethod) {
+  std::string table = WriteTemp(
+      "dedupe3.csv", "Name\nDave Smith\nJoe Wilson\nDave J Smith\n");
+  CliResult r = RunEmx({"dedupe", table, "--left-attr=Name", "--method=coeff",
+                        "--threshold=0.9"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("overlap_coeff(Name,"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("found 1 potential duplicate"), std::string::npos)
+      << r.out;
+}
+
+// A Jaccard threshold outside (0, 1] fails instead of reading past a row.
+TEST(CliTest, JaccardThresholdZeroFails) {
+  std::string left = WriteTemp("jl.csv", kLeftCsv);
+  std::string right = WriteTemp("jr.csv", kRightCsv);
+  const std::vector<std::vector<std::string>> commands = {
+      {"block", left, right}, {"dedupe", left}};
+  for (std::vector<std::string> args : commands) {
+    for (const char* flag :
+         {"--left-attr=Name", "--method=jaccard", "--threshold=0"}) {
+      args.push_back(flag);
+    }
+    CliResult r = RunEmx(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_NE(r.err.find("threshold"), std::string::npos) << r.err;
+  }
+}
+
 TEST(CliTest, DedupeRequiresAttr) {
   std::string table = WriteTemp("dedupe2.csv", "Name\nx\n");
   CliResult r = RunEmx({"dedupe", table});

@@ -423,6 +423,52 @@ TEST(GroupedBlockingTest, ScaleCorpusSf2RunBlockingIsUnionOfOwnBlocks) {
       "PIName", "Director");
 }
 
+// Three blockers on one column merge into one, whose RunBlocking equals
+// the union of their own Blocks. K=4 keeps a subset of K=2's pairs, and
+// the coefficient pairs K=2 misses, so a merge that drops its third member
+// loses pairs.
+TEST(GroupedBlockingTest, ThreeMembersOnOneColumnRunAsTheirUnion) {
+  auto data = GenerateCaseStudy();
+  ASSERT_TRUE(data.ok());
+  auto tables = PreprocessCaseStudy(*data);
+  ASSERT_TRUE(tables.ok());
+  const Table& left = tables->umetrics;
+  const Table& right = tables->usda;
+  OverlapBlockerOptions title;
+  title.left_attr = "AwardTitle";
+  title.right_attr = "AwardTitle";
+  std::vector<std::shared_ptr<Blocker>> blockers = {
+      std::make_shared<OverlapBlocker>(title, 2),
+      std::make_shared<OverlapBlocker>(title, 4),
+      std::make_shared<OverlapCoefficientBlocker>(title, 0.5)};
+  std::vector<std::shared_ptr<Blocker>> grouped =
+      TokenOverlapBlocker::Group(blockers);
+  ASSERT_EQ(grouped.size(), 1u);
+  EXPECT_EQ(std::dynamic_pointer_cast<const TokenOverlapBlocker>(grouped[0])
+                ->members(),
+            3u);
+  std::vector<CandidateSet> own;
+  CandidateSet all;
+  for (const auto& b : blockers) {
+    auto c = b->Block(left, right);
+    ASSERT_TRUE(c.ok()) << b->name() << ": " << c.status().ToString();
+    all = CandidateSet::Union(all, *c);
+    own.push_back(std::move(*c));
+  }
+  ASSERT_FALSE(CandidateSet::Minus(own[2], own[0]).empty());
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    Executor pool(threads);
+    ExecutorContext ctx{&pool};
+    EmWorkflow wf;
+    wf.SetExecutor(ctx);
+    for (const auto& b : blockers) wf.AddBlocker(b);
+    auto got = wf.RunBlocking(left, right, CandidateSet());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(*got == all) << "threads=" << threads << " (" << got->size()
+                             << " vs " << all.size() << " pairs)";
+  }
+}
+
 // --- CLI surface -------------------------------------------------------------
 
 std::string ReadFileOrDie(const std::string& path) {

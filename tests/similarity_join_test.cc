@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/block/similarity_join.h"
@@ -40,6 +42,28 @@ TEST(JaccardJoinTest, SizeFilterExcludesIncompatibleLengths) {
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->empty());
   EXPECT_EQ(stats.verified, 0u);  // size filter pruned it
+}
+
+// Outside (0, 1] a prefix of s - ceil(t*s) + 1 tokens would run past its
+// row, so such a threshold (and NaN) is rejected before any prep.
+TEST(JaccardJoinTest, ThresholdOutsideUnitIntervalIsInvalid) {
+  Table l = *ReadCsvString("T\na b\nc d\n");
+  Table r = *ReadCsvString("T\na b\nd e\n");
+  OverlapBlockerOptions opts;
+  opts.left_attr = "T";
+  opts.right_attr = "T";
+  for (double t : {0.0, -0.5, 1.5, std::nan("")}) {
+    JaccardJoinBlocker join(opts, t);
+    BlockStats stats;
+    auto c = join.BlockWithStats(l, r, &stats);
+    ASSERT_FALSE(c.ok()) << "t=" << t;
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(c.status().message().find("threshold"), std::string::npos);
+  }
+  JaccardJoinBlocker one(opts, 1.0);
+  auto exact = one.Block(l, r);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(*exact, CandidateSet(std::vector<RecordPair>{{0, 0}}));
 }
 
 // Property: the prefix-filtered join returns EXACTLY the brute-force
